@@ -31,7 +31,7 @@
 //! `ADDS_SOAK_SECS` seconds (default 2) and fail unless every probe
 //! succeeded and the reactor actually held the connections.
 //!
-//! Rows (all against the default reactor engine):
+//! Rows (all against the reactor engine):
 //! * `healthz floor` — close-mode: connection setup + routing per request.
 //! * `healthz keepalive` — the same volley over persistent connections.
 //! * `healthz open-loop` — keep-alive volley at a *scheduled* arrival

@@ -80,8 +80,7 @@ impl Command {
 
     /// The report-producing pipeline stage behind this command, if any
     /// (`run`/`ladder`/`serve` have their own drivers).
-    pub fn stage(self) -> Option<adds_serve::pipeline::Stage> {
-        use adds_serve::pipeline::Stage;
+    pub fn stage(self) -> Option<Stage> {
         Some(match self {
             Command::Parse => Stage::Parse,
             Command::Check => Stage::Check,
@@ -129,9 +128,7 @@ pub struct Args {
     pub cache_cap: usize,
     /// `serve`: emit one JSON access-log line per request on stdout.
     pub log: bool,
-    /// `serve`: connection engine (`reactor` | `blocking`).
-    pub engine: adds_serve::server::Engine,
-    /// `serve`: reactor connection budget (over it: `503 Retry-After`).
+    /// `serve`: connection budget (over it: `503 Retry-After`).
     pub max_conns: usize,
     /// `serve`/`store`: crash-safe disk cache directory.
     pub store: Option<String>,
@@ -163,7 +160,6 @@ impl Default for Args {
             addr: "127.0.0.1:8199".to_string(),
             cache_cap: 0,
             log: false,
-            engine: adds_serve::server::Engine::default(),
             max_conns: adds_serve::server::DEFAULT_MAX_CONNECTIONS,
             store: None,
             store_action: None,
@@ -228,10 +224,8 @@ OPTIONS:
     --store DIR       serve/store: crash-safe disk cache directory; survives
                       restarts and kill -9 (committed entries are never lost)
     --log             serve: one JSON access-log line per request on stdout
-    --engine E        serve: connection engine, reactor | blocking
-                      [default: reactor]
-    --max-conns N     serve: reactor connection budget; connections over
-                      it get 503 + Retry-After [default: 10240]
+    --max-conns N     serve: connection budget; connections over it get
+                      503 + Retry-After [default: 10240]
     --format FMT      text | json                      [default: text]
     --matrices        include exit path matrices in analyze reports
     --pes LIST        run: comma-separated PE counts   [default: 4]
@@ -326,12 +320,6 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, UsageError> {
             }
             "--trace" => {
                 args.trace = Some(take_value("--trace", inline, &mut it)?);
-            }
-            "--engine" => {
-                let v = take_value("--engine", inline, &mut it)?;
-                args.engine = adds_serve::server::Engine::parse(&v).ok_or_else(|| {
-                    usage(format!("--engine expects reactor|blocking, got `{v}`"))
-                })?;
             }
             "--max-conns" => {
                 let v = take_value("--max-conns", inline, &mut it)?;
@@ -447,6 +435,7 @@ pub enum ParsedArgs {
     ListCorpus,
 }
 
+use adds::query::session::Stage;
 use adds_serve::server::parse_usize_list;
 
 #[cfg(test)]
@@ -528,28 +517,20 @@ mod tests {
         assert!(a.log);
         assert!(parse(&argv("serve --cache-cap nope")).is_err());
         assert!(a.command.stage().is_none());
-        assert_eq!(
-            Command::Analyze.stage(),
-            Some(adds_serve::pipeline::Stage::Analyze)
-        );
+        assert_eq!(Command::Analyze.stage(), Some(Stage::Analyze));
     }
 
     #[test]
-    fn parses_serve_engine_and_budget() {
-        use adds_serve::server::Engine;
-        let ParsedArgs::Run(a) = parse(&argv("serve --engine blocking --max-conns=512")).unwrap()
-        else {
+    fn parses_serve_connection_budget() {
+        let ParsedArgs::Run(a) = parse(&argv("serve --max-conns=512")).unwrap() else {
             panic!("expected Run");
         };
-        assert_eq!(a.engine, Engine::Blocking);
         assert_eq!(a.max_conns, 512);
-        // Defaults: the reactor, with its stock budget.
+        // Default: the stock budget.
         let ParsedArgs::Run(a) = parse(&argv("serve")).unwrap() else {
             panic!("expected Run");
         };
-        assert_eq!(a.engine, Engine::Reactor);
         assert_eq!(a.max_conns, adds_serve::server::DEFAULT_MAX_CONNECTIONS);
-        assert!(parse(&argv("serve --engine turbo")).is_err());
         assert!(parse(&argv("serve --max-conns many")).is_err());
     }
 

@@ -16,8 +16,18 @@
 use crate::args::Args;
 use crate::corpus;
 use crate::report::ProgramReport;
-use adds_serve::pipeline::InputUnit;
-use adds_serve::service::{Session, StageRequest};
+use adds::query::session::{Session, StageRequest};
+
+/// One unit of work for the batch executor.
+#[derive(Clone, Debug)]
+pub struct InputUnit {
+    /// Corpus name or file path.
+    pub name: String,
+    /// `"builtin"` or `"file"`.
+    pub origin: &'static str,
+    /// IL source text.
+    pub source: String,
+}
 
 /// Resolve `--all`, `--program`, and file arguments into work units.
 /// Order: corpus entries first (corpus order), then files (argument order).
@@ -99,7 +109,7 @@ pub(crate) fn run_batch_memo(units: &[InputUnit], args: &Args) -> (Vec<ProgramRe
 mod tests {
     use super::*;
     use crate::args::{Args, Command};
-    use adds_serve::pipeline::{run_unit, Stage};
+    use adds::query::session::Stage;
 
     #[test]
     fn all_collects_whole_corpus_in_order() {
@@ -155,7 +165,9 @@ mod tests {
         renamed.name = "b.il".into();
         assert_eq!(renamed.to_json().pretty(), reports[1].to_json().pretty());
         // And cached output equals the uncached single-unit run.
-        let direct = run_unit(&units[1], Stage::Analyze, false);
+        let direct = Session::new()
+            .stage(&units[1].source, StageRequest::new(Stage::Analyze))
+            .named(&units[1].name, units[1].origin);
         assert_eq!(direct.to_json().pretty(), reports[1].to_json().pretty());
     }
 

@@ -19,9 +19,9 @@
 //! (load in chrome://tracing or Perfetto).
 //!
 //! The report model and the demand-driven, content-addressed analysis
-//! session live in the `adds-query` crate (re-exported through
-//! `adds-serve`), shared with the server mode and library consumers; this
-//! binary is argument parsing, batch fan-out, and rendering.
+//! session live in the `adds-query` crate (`adds::query`), shared with the
+//! server mode and library consumers; this binary is argument parsing,
+//! batch fan-out, and rendering.
 //!
 //! Exit codes: 0 = success, 1 = at least one program failed its stage,
 //! 2 = usage error.
@@ -31,9 +31,10 @@ mod batch;
 mod ladder;
 mod profile;
 
-pub(crate) use adds_serve::{corpus, json, report};
+pub(crate) use adds::query::{json, report};
+pub(crate) use adds_serve::corpus;
 
-use adds_serve::runner;
+use adds::query::runner;
 use adds_serve::server::{ServeOptions, Server};
 use args::{Command, Format, ParsedArgs};
 use json::Json;
@@ -214,7 +215,6 @@ fn run_command(args: &args::Args) -> i32 {
                 log: args.log,
                 store_dir: args.store.clone(),
                 trace_path: args.trace.clone(),
-                engine: args.engine,
                 max_connections: args.max_conns,
                 ..ServeOptions::default()
             };

@@ -21,10 +21,11 @@
 //!   a deadline) while idle connections close immediately.
 //!
 //! The embedding protocol implements [`reactor::Protocol`]: framing over a
-//! byte buffer, execution of a frame into response bytes, and canned
-//! responses for budget rejection and deadline expiry. The reactor never
-//! interprets bytes itself, which is what lets the serve crate guarantee
-//! byte-identical responses to its blocking engine.
+//! byte buffer (reporting how many bytes a partial frame still needs, so a
+//! request is not re-framed on every read), execution of a frame into
+//! response bytes, and canned responses for budget rejection and deadline
+//! expiry. The reactor never interprets bytes itself, which is what lets
+//! the serve crate answer byte-identically to its in-process request path.
 
 pub mod reactor;
 pub mod stats;

@@ -25,6 +25,10 @@
 //! * At most one frame per connection is in flight. Pipelined requests stay
 //!   buffered until the current response is queued, which preserves response
 //!   ordering without any per-connection queueing of replies.
+//! * A partial frame is not re-framed on every read: the connection keeps
+//!   the protocol's last `Framed::Incomplete` `need` and offers the buffer
+//!   again only once that many bytes are buffered, so framing work is
+//!   linear in the bytes received.
 //! * Reads are backpressured: once the buffer holds `max_frame_bytes` (only
 //!   possible while a frame is executing — `Protocol::frame` must resolve
 //!   any buffer that large), the socket is deregistered from `POLLIN` until
@@ -45,8 +49,12 @@ use std::time::{Duration, Instant};
 
 /// Result of attempting to frame a request out of buffered bytes.
 pub enum Framed<F> {
-    /// Not enough bytes yet; keep reading.
-    Incomplete,
+    /// Not enough bytes yet; keep reading. `need` is the buffer length
+    /// below which framing cannot succeed: the reactor does not offer the
+    /// buffer to [`Protocol::frame`] again until that many bytes are
+    /// buffered. A `need` at or below the current length means "one more
+    /// byte".
+    Incomplete { need: usize },
     /// A complete frame: `consumed` bytes are drained from the buffer.
     Frame { consumed: usize, frame: F },
     /// The bytes are unsalvageable. `response` is written, then the
@@ -67,7 +75,12 @@ pub trait Protocol: Send + Sync + 'static {
     type Frame: Send + 'static;
 
     /// Try to frame one request from `buf`. `served` counts requests already
-    /// framed on this connection (0 for the first).
+    /// framed on this connection (0 for the first). An exact
+    /// [`Framed::Incomplete`] `need` (e.g. head plus declared body length)
+    /// keeps framing linear in the bytes received: a body arriving in many
+    /// reads is framed once, when its last byte lands. `need` must not
+    /// exceed [`ReactorOptions::max_frame_bytes`], or the connection stalls
+    /// until its read deadline.
     fn frame(&self, buf: &[u8], served: usize) -> Framed<Self::Frame>;
 
     /// Execute a frame. Runs on a worker thread. `served` is the 1-based
@@ -197,6 +210,9 @@ struct Conn {
     stream: TcpStream,
     gen: u64,
     read_buf: Vec<u8>,
+    /// `read_buf` length below which `Protocol::frame` is not called (the
+    /// last `Framed::Incomplete::need`; 1 between requests).
+    need: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     served: usize,
@@ -470,6 +486,7 @@ impl<P: Protocol> Reactor<P> {
                 stream,
                 gen,
                 read_buf: Vec::new(),
+                need: 1,
                 write_buf: Vec::new(),
                 write_pos: 0,
                 served: 0,
@@ -533,65 +550,50 @@ impl<P: Protocol> Reactor<P> {
     }
 
     /// Frame as many requests as can be answered right now. At most one
-    /// frame may be executing; everything else stays buffered.
+    /// frame may be executing; everything else stays buffered. A buffer
+    /// shorter than the connection's `need` is not offered to the protocol.
     fn pump(&mut self, token: usize, start: Instant) {
         loop {
-            let (buf_len, served, executing, closing) = {
-                let Some(conn) = self.conns[token].as_ref() else {
-                    return;
-                };
-                (
-                    conn.read_buf.len(),
-                    conn.served,
-                    conn.executing,
-                    conn.close_after_write,
-                )
+            let Some(conn) = self.conns[token].as_mut() else {
+                return;
             };
-            if executing || closing {
+            if conn.executing || conn.close_after_write {
                 break;
             }
-            let framed = {
-                let conn = self.conns[token].as_ref().unwrap();
-                self.proto.frame(&conn.read_buf, served)
+            let framed = if conn.read_buf.len() < conn.need {
+                Framed::Incomplete { need: conn.need }
+            } else {
+                self.proto.frame(&conn.read_buf, conn.served)
             };
             match framed {
-                Framed::Incomplete => {
-                    let eof = {
-                        let conn = self.conns[token].as_ref().unwrap();
-                        conn.read_closed
-                    };
-                    if eof {
-                        if buf_len > 0 {
-                            // Peer hung up mid-request: give the protocol a
-                            // chance to answer (the blocking engine's 400).
-                            let resp = {
-                                let conn = self.conns[token].as_ref().unwrap();
-                                self.proto.eof_response(&conn.read_buf, served)
-                            };
-                            let conn = self.conns[token].as_mut().unwrap();
-                            conn.read_buf.clear();
-                            if let Some(bytes) = resp {
-                                conn.write_buf.extend_from_slice(&bytes);
-                            }
-                            conn.close_after_write = true;
-                        } else {
+                Framed::Incomplete { need } => {
+                    // This buffer cannot frame, whatever `need` says, so
+                    // at least one more byte must arrive first.
+                    conn.need = need.max(conn.read_buf.len() + 1);
+                    if conn.read_closed {
+                        if conn.read_buf.is_empty() {
                             self.close(token);
                             return;
                         }
+                        // Peer hung up mid-request: give the protocol a
+                        // chance to answer (e.g. HTTP's 400).
+                        let resp = self.proto.eof_response(&conn.read_buf, conn.served);
+                        conn.read_buf.clear();
+                        if let Some(bytes) = resp {
+                            conn.write_buf.extend_from_slice(&bytes);
+                        }
+                        conn.close_after_write = true;
                     }
                     break;
                 }
                 Framed::Frame { consumed, frame } => {
-                    let (served, gen) = {
-                        let conn = self.conns[token].as_mut().unwrap();
-                        conn.read_buf.drain(..consumed);
-                        conn.served += 1;
-                        (conn.served, conn.gen)
-                    };
+                    conn.read_buf.drain(..consumed);
+                    conn.need = 1;
+                    conn.served += 1;
+                    let (served, gen) = (conn.served, conn.gen);
                     match self.proto.try_inline(frame, served) {
                         Ok(reply) => {
                             self.stats.inline_served.fetch_add(1, Ordering::Relaxed);
-                            let conn = self.conns[token].as_mut().unwrap();
                             conn.write_buf.extend_from_slice(&reply.bytes);
                             if !reply.keep_alive {
                                 conn.close_after_write = true;
@@ -599,7 +601,6 @@ impl<P: Protocol> Reactor<P> {
                         }
                         Err(frame) => {
                             self.stats.dispatched.fetch_add(1, Ordering::Relaxed);
-                            let conn = self.conns[token].as_mut().unwrap();
                             conn.executing = true;
                             if let Some(tx) = &self.jobs_tx {
                                 let _ = tx.send(Job {
@@ -613,7 +614,6 @@ impl<P: Protocol> Reactor<P> {
                     }
                 }
                 Framed::Reject { response } => {
-                    let conn = self.conns[token].as_mut().unwrap();
                     conn.read_buf.clear();
                     conn.write_buf.extend_from_slice(&response);
                     conn.close_after_write = true;
@@ -723,27 +723,17 @@ impl<P: Protocol> Reactor<P> {
     }
 
     /// `settle` → `pump` without recursing through `flush` → `settle`
-    /// forever: pump() only calls flush() when it made progress, and a
-    /// buffer that stays `Incomplete` arms the read deadline here.
+    /// forever: every `Incomplete` raises `need` past the buffer, so a
+    /// buffer that `pump` could not frame is not offered again until more
+    /// bytes (or EOF) arrive; until then only the read deadline is armed.
     fn pump_if_frameable(&mut self, token: usize, start: Instant) {
-        let incomplete = {
-            let Some(conn) = self.conns[token].as_ref() else {
-                return;
-            };
-            matches!(
-                self.proto.frame(&conn.read_buf, conn.served),
-                Framed::Incomplete
-            )
+        let Some(conn) = self.conns[token].as_ref() else {
+            return;
         };
-        if incomplete {
-            let eof = self.conns[token].as_ref().is_some_and(|c| c.read_closed);
-            if eof {
-                self.pump(token, start); // handles the mid-request EOF path
-            } else {
-                self.arm(token, start, DeadlineKind::Read);
-            }
+        if conn.read_buf.len() >= conn.need || conn.read_closed {
+            self.pump(token, start); // also handles the mid-request EOF path
         } else {
-            self.pump(token, start);
+            self.arm(token, start, DeadlineKind::Read);
         }
     }
 

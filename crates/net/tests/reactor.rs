@@ -6,7 +6,7 @@ use adds_net::reactor::{Framed, Protocol, Reactor, ReactorOptions, Reply, StopHa
 use adds_net::stats::NetStats;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -20,7 +20,9 @@ impl Protocol for LineProto {
 
     fn frame(&self, buf: &[u8], _served: usize) -> Framed<String> {
         match buf.iter().position(|&b| b == b'\n') {
-            None => Framed::Incomplete,
+            None => Framed::Incomplete {
+                need: buf.len() + 1,
+            },
             Some(i) => {
                 let line = String::from_utf8_lossy(&buf[..i]).into_owned();
                 if line == "bad" {
@@ -97,12 +99,59 @@ impl Drop for TestServer {
     }
 }
 
+/// Length-prefixed frames (`<len>\n<len body bytes>`) answered with the
+/// body length. Counts its `frame` calls and the bytes offered to them, so
+/// tests can see how often the reactor re-frames a partial request.
+#[derive(Default)]
+struct CountingProto {
+    frame_calls: AtomicUsize,
+    bytes_offered: AtomicUsize,
+}
+
+impl Protocol for CountingProto {
+    type Frame = usize;
+
+    fn frame(&self, buf: &[u8], _served: usize) -> Framed<usize> {
+        self.frame_calls.fetch_add(1, Ordering::Relaxed);
+        self.bytes_offered.fetch_add(buf.len(), Ordering::Relaxed);
+        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+            return Framed::Incomplete {
+                need: buf.len() + 1,
+            };
+        };
+        let len: usize = String::from_utf8_lossy(&buf[..nl]).parse().unwrap();
+        let consumed = nl + 1 + len;
+        if buf.len() < consumed {
+            return Framed::Incomplete { need: consumed };
+        }
+        Framed::Frame {
+            consumed,
+            frame: len,
+        }
+    }
+
+    fn execute(&self, len: usize, _served: usize) -> Reply {
+        Reply {
+            bytes: format!("{len}\n").into_bytes(),
+            keep_alive: true,
+        }
+    }
+
+    fn busy_response(&self) -> Vec<u8> {
+        b"BUSY\n".to_vec()
+    }
+}
+
 fn spawn(opts: ReactorOptions) -> TestServer {
+    spawn_proto(opts, Arc::new(LineProto))
+}
+
+fn spawn_proto<P: Protocol>(opts: ReactorOptions, proto: Arc<P>) -> TestServer {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stats = Arc::new(NetStats::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let reactor = Reactor::new(listener, Arc::new(LineProto), opts, stats.clone(), stop).unwrap();
+    let reactor = Reactor::new(listener, proto, opts, stats.clone(), stop).unwrap();
     let handle = reactor.stop_handle();
     let join = thread::spawn(move || reactor.run());
     TestServer {
@@ -317,4 +366,55 @@ fn stop_reaps_idle_connections_immediately() {
         begin.elapsed() < Duration::from_secs(3),
         "drain hung on an idle conn"
     );
+}
+
+/// Send one length-prefixed request whose body arrives in `writes`
+/// separate writes (paced so they land as separate reads), and return how
+/// many `frame` calls and offered bytes it cost.
+fn frame_cost(writes: usize) -> (usize, usize) {
+    const BODY: usize = 64 * 1024;
+    let proto = Arc::new(CountingProto::default());
+    let srv = spawn_proto(fast_opts(), proto.clone());
+    let mut s = srv.connect();
+    s.write_all(format!("{BODY}\n").as_bytes()).unwrap();
+    let body = vec![b'x'; BODY];
+    for chunk in body.chunks(BODY / writes) {
+        thread::sleep(Duration::from_millis(2));
+        s.write_all(chunk).unwrap();
+    }
+    let mut r = BufReader::new(s);
+    assert_eq!(read_line(&mut r), format!("{BODY}\n"));
+    (
+        proto.frame_calls.load(Ordering::Relaxed),
+        proto.bytes_offered.load(Ordering::Relaxed),
+    )
+}
+
+#[test]
+fn frame_calls_do_not_grow_with_body_writes() {
+    // Once the head names the body length, the reactor waits for the
+    // whole body: one call when the head lands, one when the body does.
+    for writes in [1, 64] {
+        let (calls, offered) = frame_cost(writes);
+        assert!(calls <= 2, "{writes} body writes cost {calls} frame calls");
+        assert!(
+            offered <= 2 * (64 * 1024 + 8),
+            "{writes} body writes offered {offered} bytes to frame"
+        );
+    }
+}
+
+#[test]
+fn pipelined_requests_are_framed_once_each() {
+    // Three requests in one write: each is framed exactly once, including
+    // the ones left buffered behind an executing request.
+    let proto = Arc::new(CountingProto::default());
+    let srv = spawn_proto(fast_opts(), proto.clone());
+    let mut s = srv.connect();
+    s.write_all(b"1\na2\nbb3\nccc").unwrap();
+    let mut r = BufReader::new(s);
+    for want in ["1\n", "2\n", "3\n"] {
+        assert_eq!(read_line(&mut r), want);
+    }
+    assert_eq!(proto.frame_calls.load(Ordering::Relaxed), 3);
 }

@@ -220,14 +220,24 @@ mod tests {
             fp.stage_report(Stage::Analyze, true),
             "analyze/v2(effects/v1(analyzed/v1(typed/v1(parsed/v1))))+matrices"
         );
+        assert_eq!(
+            fp.stage_report(Stage::Parse, false),
+            "parse/v1(roundtrip/v1(parsed/v1))"
+        );
         // `--matrices` only affects analyze reports.
         assert_eq!(
             fp.stage_report(Stage::Check, true),
             fp.stage_report(Stage::Check, false)
         );
-        assert!(fp
-            .run_report(&RunOptions::default())
-            .ends_with(":pes=4;bodies=64;steps=2;theta=0.7;dt=0.001"));
+        let run = fp.run_report(&RunOptions::default());
+        assert!(run.starts_with("run/v1("), "{run}");
+        assert!(run.ends_with(":pes=4;bodies=64;steps=2;theta=0.7;dt=0.001"));
+        // The free functions compose the same default table.
+        assert_eq!(
+            stage_fingerprint(Stage::Analyze, true),
+            fp.stage_report(Stage::Analyze, true)
+        );
+        assert_eq!(run_fingerprint(&RunOptions::default()), run);
     }
 
     #[test]

@@ -386,6 +386,92 @@ mod tests {
         assert!(Arc::ptr_eq(&r1.result, &r2.result));
     }
 
+    /// One stage over one program through a throwaway session, under the
+    /// caller's display name — what one CLI invocation over one file does.
+    fn stage_named(name: &str, source: &str, stage: Stage, matrices: bool) -> ProgramReport {
+        Session::new()
+            .stage(source, StageRequest::with_matrices(stage, matrices))
+            .named(name, "builtin")
+    }
+
+    #[test]
+    fn analyze_list_scale_adds_parallelizes() {
+        let r = stage_named(
+            "list_scale_adds",
+            programs::LIST_SCALE_ADDS,
+            Stage::Analyze,
+            false,
+        );
+        assert!(r.ok);
+        assert_eq!(r.name, "list_scale_adds");
+        assert_eq!(r.origin, "builtin");
+        let a = r.analyze.unwrap();
+        let scale = a.functions.iter().find(|f| f.name == "scale").unwrap();
+        assert_eq!(scale.loops.len(), 1);
+        assert!(scale.loops[0].parallelizable, "{:?}", scale.loops[0]);
+        assert_eq!(scale.loops[0].pattern.as_deref(), Some("p via next"));
+    }
+
+    #[test]
+    fn analyze_plain_list_stays_sequential() {
+        let r = stage_named(
+            "list_scale_plain",
+            programs::LIST_SCALE_PLAIN,
+            Stage::Analyze,
+            false,
+        );
+        assert!(r.ok);
+        let a = r.analyze.unwrap();
+        let scale = a.functions.iter().find(|f| f.name == "scale").unwrap();
+        assert!(!scale.loops[0].parallelizable);
+        assert!(!scale.loops[0].reasons.is_empty());
+    }
+
+    #[test]
+    fn parse_reports_roundtrip() {
+        let r = stage_named("barnes_hut", programs::BARNES_HUT, Stage::Parse, false);
+        assert!(r.ok);
+        assert!(r.parse.unwrap().roundtrip_stable);
+    }
+
+    #[test]
+    fn parallelize_barnes_hut_reports_decisions() {
+        let r = stage_named(
+            "barnes_hut",
+            programs::BARNES_HUT,
+            Stage::Parallelize,
+            false,
+        );
+        assert!(r.ok);
+        let t = r.transform.unwrap();
+        assert!(t.reparses);
+        let funcs: Vec<&str> = t.parallelized.iter().map(|d| d.func.as_str()).collect();
+        assert!(
+            funcs.contains(&"bhl1") && funcs.contains(&"bhl2"),
+            "{funcs:?}"
+        );
+        assert!(t.source.contains("parfor"));
+    }
+
+    #[test]
+    fn bad_source_fails_with_diagnostics() {
+        let r = stage_named("broken", "type T {", Stage::Analyze, false);
+        assert!(!r.ok);
+        assert!(!r.diagnostics.is_empty());
+    }
+
+    #[test]
+    fn matrices_flag_adds_exit_matrix() {
+        let r = stage_named(
+            "list_scale_adds",
+            programs::LIST_SCALE_ADDS,
+            Stage::Analyze,
+            true,
+        );
+        let a = r.analyze.unwrap();
+        assert!(a.functions[0].exit_matrix.is_some());
+    }
+
     #[test]
     fn matrices_flag_separates_report_entries() {
         let session = Session::new();

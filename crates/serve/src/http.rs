@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 subset over `std::net`: enough to read requests
-//! (request line, headers, `Content-Length` body) and write responses,
-//! with hard limits on header and body size.
+//! A minimal HTTP/1.1 subset: enough to read requests (request line,
+//! headers, `Content-Length` body) and serialize responses, with hard
+//! limits on header and body size.
 //!
 //! ## Connection lifetime
 //!
@@ -16,7 +16,8 @@
 //! read-to-EOF test clients working; those clients now frame responses by
 //! `Content-Length`, so the spec default is back.)
 
-use std::io::{BufRead, BufReader, Read, Write};
+use adds_query::json::Json;
+use std::io::{BufRead, BufReader, Read};
 
 /// Largest accepted header block.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -90,6 +91,43 @@ impl std::fmt::Display for BadRequest {
 /// pipelined next request) stays buffered for the next call instead of
 /// being dropped with a per-request reader.
 pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, BadRequest> {
+    let head = read_head(reader)?;
+    let mut body = vec![0u8; head.content_length];
+    reader.read_exact(&mut body).map_err(BadRequest::Io)?;
+    Ok(head.into_request(body))
+}
+
+/// A request line plus the headers that shape it: everything of a request
+/// but its body.
+pub(crate) struct Head {
+    method: String,
+    target: String,
+    /// Declared body length, already checked against [`MAX_BODY_BYTES`].
+    pub(crate) content_length: usize,
+    keep_alive: bool,
+}
+
+impl Head {
+    /// The request with this head and `body`.
+    pub(crate) fn into_request(self, body: Vec<u8>) -> Request {
+        let (path, query) = match self.target.split_once('?') {
+            Some((p, q)) => (p, parse_query(q)),
+            None => (self.target.as_str(), Vec::new()),
+        };
+        Request {
+            method: self.method,
+            path: percent_decode(path),
+            query,
+            body,
+            keep_alive: self.keep_alive,
+        }
+    }
+}
+
+/// Read a request head, up to and including its blank line. An
+/// over-limit `Content-Length` is [`BadRequest::TooLarge`] here, before
+/// any body byte is read.
+pub(crate) fn read_head(reader: &mut impl BufRead) -> Result<Head, BadRequest> {
     let mut header_bytes = 0usize;
     let line = read_header_line(reader, &mut header_bytes, true)?;
     let line = line.trim_end();
@@ -155,19 +193,10 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, BadRe
             "body of {content_length} bytes"
         )));
     }
-
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(BadRequest::Io)?;
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, parse_query(q)),
-        None => (target.as_str(), Vec::new()),
-    };
-    Ok(Request {
+    Ok(Head {
         method,
-        path: percent_decode(path),
-        query,
-        body,
+        target,
+        content_length,
         keep_alive,
     })
 }
@@ -178,8 +207,8 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, BadRe
 /// the first byte of a request line reads as [`BadRequest::Closed`] (the
 /// client finished its keep-alive conversation); EOF anywhere else is a
 /// malformed request.
-fn read_header_line<R: Read>(
-    reader: &mut BufReader<R>,
+fn read_header_line(
+    reader: &mut impl BufRead,
     used: &mut usize,
     request_line: bool,
 ) -> Result<String, BadRequest> {
@@ -309,7 +338,7 @@ impl Response {
 
     /// A JSON error document `{"error": ...}`.
     pub fn error(status: u16, message: &str) -> Response {
-        let doc = crate::json::Json::obj([("error", crate::json::Json::str(message))]);
+        let doc = Json::obj([("error", Json::str(message))]);
         Response::json(status, doc.pretty())
     }
 
@@ -344,10 +373,11 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `resp` to wire bytes (head + body in one buffer). Both server
-/// engines — the blocking worker pool and the event-driven reactor — emit
-/// responses through this single function, which is what makes their
-/// response bytes identical by construction.
+/// Serialize `resp` to wire bytes. With `keep_alive` the connection header
+/// invites the client to reuse the socket; otherwise it announces the
+/// close that follows. Head and body share **one** buffer: the server sets
+/// `TCP_NODELAY`, so a separately written small head would become its own
+/// segment (and its own syscall) on every response.
 pub fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -367,21 +397,6 @@ pub fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&resp.body);
     out
-}
-
-/// Serialize and send `resp`. With `keep_alive` the connection header
-/// invites the client to reuse the socket; otherwise it announces the
-/// close that follows. Head and body go out as **one** write: the server
-/// sets `TCP_NODELAY`, so a separate small head write would become its
-/// own segment (and its own syscall) on every response.
-pub fn write_response(
-    stream: &mut impl Write,
-    resp: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let out = serialize_response(resp, keep_alive);
-    stream.write_all(&out)?;
-    stream.flush()
 }
 
 #[cfg(test)]

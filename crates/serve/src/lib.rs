@@ -4,19 +4,12 @@
 //! `adds-query`, with no dependencies beyond `std` (the build environment
 //! is offline):
 //!
-//! * [`cache`] / [`json`] / [`report`] / [`runner`] / [`sha`] — re-exports
-//!   of the shared query-layer model, so existing `adds_serve::` paths
-//!   keep working: the report model is byte-stable and identical between
-//!   the CLI and the server because both render through the same session.
-//! * [`pipeline`] — the CLI's input units and the one-shot stage runner,
-//!   now thin wrappers over a [`service::Session`].
-//! * [`service`] — the session re-export plus the fingerprint contract
-//!   (see `adds_query::fingerprint` for the composed per-query table).
-//! * [`http`] — a minimal HTTP/1.1 request reader / response writer over
-//!   `std::net`, with opt-in keep-alive.
+//! * [`corpus`] — the built-in programs, by name.
+//! * [`http`] — a minimal HTTP/1.1 request reader and response serializer,
+//!   with opt-in keep-alive.
 //! * [`logging`] — the structured access-log line (`serve --log`).
-//! * [`server`] — the `adds-cli serve` engine: a `TcpListener` accept loop
-//!   fanned out over a fixed worker pool, routing
+//! * [`server`] — the `adds-cli serve` engine: the `adds-net` `poll(2)`
+//!   reactor with a `--jobs` worker pool, routing
 //!   `POST /v1/{analyze,parallelize,run,check,parse,batch}`,
 //!   `GET /v1/report/{sha256}`, `GET /v1/corpus[/{name}]`,
 //!   `GET /v1/stats`, `GET /v1/metrics` (Prometheus text),
@@ -33,15 +26,7 @@
 
 #![warn(missing_docs)]
 
-pub use adds_query::cache;
-pub use adds_query::json;
-pub use adds_query::report;
-pub use adds_query::runner;
-pub use adds_query::sha;
-
 pub mod corpus;
 pub mod http;
 pub mod logging;
-pub mod pipeline;
 pub mod server;
-pub mod service;

@@ -12,7 +12,7 @@
 //! touch the cache (`/healthz`, corpus reads, 4xx rejections).
 //! `bytes_in` is the request body length in bytes.
 
-use crate::json::Json;
+use adds_query::json::Json;
 
 /// Render one access-log line (no trailing newline). `sha` is the
 /// request body's content address and `cache` the `hit|miss|coalesced`

@@ -1,19 +1,15 @@
 //! The `adds-cli serve` engine: the `/v1` API over [`crate::http`] into
-//! one shared, demand-driven [`Service`] session, behind either of two
-//! connection engines:
+//! one shared, demand-driven [`Session`], on the event-driven core from
+//! [`adds_net`]. One nonblocking `poll(2)` loop owns every socket, an
+//! explicit connection budget answers overload with `503 Retry-After`, a
+//! timer wheel enforces read/idle deadlines (slow-loris defense), and
+//! framed requests execute on the `--jobs` worker pool. Scales to tens of
+//! thousands of keep-alive connections.
 //!
-//! * [`Engine::Reactor`] (default) — the event-driven core from
-//!   [`adds_net`]: one nonblocking `poll(2)` loop owns every socket, an
-//!   explicit connection budget answers overload with `503 Retry-After`,
-//!   a timer wheel enforces read/idle deadlines (slow-loris defense), and
-//!   parsed requests are executed on the `--jobs` worker pool. Scales to
-//!   tens of thousands of keep-alive connections.
-//! * [`Engine::Blocking`] — the original thread-per-connection accept
-//!   loop over a fixed worker pool; one worker per in-flight connection.
-//!
-//! Both engines route through [`ServerState::handle`] and serialize through
-//! [`crate::http::serialize_response`], so responses are **byte-identical**
-//! between them (pinned by the `reactor_parity` tests).
+//! Every request is routed by [`ServerState::handle`] and serialized by
+//! [`crate::http::serialize_response`]. The `reactor_parity` tests pin the
+//! bytes on the wire, dribbled and pipelined input included, to that
+//! in-process path: `read_request` → `handle` → `serialize_response`.
 //!
 //! ## Endpoints
 //!
@@ -28,7 +24,7 @@
 //! | `GET /v1/report/{sha256}` | — | cached stage document or 404 |
 //! | `GET /v1/corpus` | — | built-in program list |
 //! | `GET /v1/corpus/{name}` | — | built-in program source (text) |
-//! | `GET /v1/stats` | — | `adds.serve-stats/v4` counters + latency |
+//! | `GET /v1/stats` | — | `adds.serve-stats/v6` counters + latency |
 //! | `GET /v1/metrics` | — | Prometheus text (`adds.metrics/v1`) |
 //! | `GET /v1/trace` | — | `adds.trace/v1` buffered spans (needs `--trace`) |
 //! | `GET /healthz` | — | `ok` |
@@ -71,58 +67,25 @@
 
 use crate::corpus;
 use crate::http::{
-    read_request, serialize_response, write_response, BadRequest, Request, Response,
+    read_head, read_request, serialize_response, BadRequest, Request, Response,
     KEEPALIVE_IDLE_TIMEOUT, KEEPALIVE_MAX_REQUESTS, MAX_BODY_BYTES, MAX_HEADER_BYTES,
 };
-use crate::json::Json;
 use crate::logging;
-use crate::pipeline::Stage;
-use crate::runner::RunOptions;
-use crate::service::{RunRequest, Service, SessionConfig, StageRequest};
-use crate::sha::Digest;
 use adds_net::reactor::{Framed, Protocol, Reactor, ReactorOptions, Reply, StopHandle};
 use adds_net::stats::NetStats;
 use adds_obs::metrics::{prom_counter, prom_gauge, prom_histogram, Counter, Gauge, Histogram};
 use adds_obs::trace;
+use adds_query::json::Json;
+use adds_query::runner::RunOptions;
+use adds_query::session::{RunRequest, Session, SessionConfig, Stage, StageRequest};
+use adds_query::sha::Digest;
 use adds_query::QueryKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which connection engine drives the sockets. Responses are
-/// byte-identical between the two; only concurrency behavior differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Event-driven: one `poll(2)` reactor thread owns every connection,
-    /// requests execute on the worker pool ([`adds_net`]).
-    #[default]
-    Reactor,
-    /// Thread-per-connection over a fixed worker pool (the pre-reactor
-    /// engine, kept for A/B comparison and as the parity oracle).
-    Blocking,
-}
-
-impl Engine {
-    /// Stable label (stats documents, CLI).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Blocking => "blocking",
-        }
-    }
-
-    /// Parse a CLI value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "reactor" => Some(Engine::Reactor),
-            "blocking" => Some(Engine::Blocking),
-            _ => None,
-        }
-    }
-}
-
-/// Default connection budget for the reactor engine.
+/// Default connection budget.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 10_240;
 
 /// Default deadline for reading one full request (slow-loris bound).
@@ -154,19 +117,16 @@ pub struct ServeOptions {
     /// store. A background thread commits the write-behind buffer every
     /// [`COMMIT_INTERVAL`]; shutdown commits once more.
     pub store_dir: Option<String>,
-    /// Connection engine (`--engine reactor|blocking`).
-    pub engine: Engine,
-    /// Reactor connection budget: accepts beyond it are answered with
-    /// `503` + `Retry-After` and counted (`adds_net_rejected_total`)
-    /// instead of piling into the accept queue. Ignored by the blocking
-    /// engine (its budget is its thread count).
+    /// Connection budget: accepts beyond it are answered with `503` +
+    /// `Retry-After` and counted (`adds_net_rejected_total`) instead of
+    /// piling into the accept queue.
     pub max_connections: usize,
-    /// Reactor deadline for reading one full request, from accept (or the
-    /// first byte after an idle gap) to the last body byte — the
-    /// slow-loris bound. A dribbling client cannot extend it.
+    /// Deadline for reading one full request, from accept (or the first
+    /// byte after an idle gap) to the last body byte — the slow-loris
+    /// bound. A dribbling client cannot extend it.
     pub read_timeout: Duration,
-    /// Reactor idle keep-alive timeout between requests (the blocking
-    /// engine's [`KEEPALIVE_IDLE_TIMEOUT`] is the same default).
+    /// Idle keep-alive timeout between requests (default
+    /// [`KEEPALIVE_IDLE_TIMEOUT`]).
     pub idle_timeout: Duration,
 }
 
@@ -180,7 +140,6 @@ impl Default for ServeOptions {
             instrument: true,
             trace_path: None,
             store_dir: None,
-            engine: Engine::Reactor,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             read_timeout: DEFAULT_READ_TIMEOUT,
             idle_timeout: KEEPALIVE_IDLE_TIMEOUT,
@@ -188,60 +147,41 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-endpoint request counters (monotonic, relaxed).
-#[derive(Debug, Default)]
-pub struct RequestStats {
-    /// `POST /v1/analyze`
-    pub analyze: AtomicU64,
-    /// `POST /v1/parallelize`
-    pub parallelize: AtomicU64,
-    /// `POST /v1/run`
-    pub run: AtomicU64,
-    /// `POST /v1/check`
-    pub check: AtomicU64,
-    /// `POST /v1/parse`
-    pub parse: AtomicU64,
-    /// `POST /v1/batch`
-    pub batch: AtomicU64,
-    /// `GET /v1/report/{sha}`
-    pub report: AtomicU64,
-    /// `GET /v1/corpus[/{name}]`
-    pub corpus: AtomicU64,
-    /// `GET /v1/stats`
-    pub stats: AtomicU64,
-    /// `GET /healthz`
-    pub healthz: AtomicU64,
-    /// `GET /v1/metrics`
-    pub metrics: AtomicU64,
-    /// `GET /v1/trace`
-    pub trace: AtomicU64,
-    /// Anything else (404s, bad methods, unreadable requests).
-    pub other: AtomicU64,
-}
-
-/// Route classification for per-route metrics — one variant per
-/// `/v1/stats` request counter, dense so histograms index by it.
+/// What [`ServerState::handle`] dispatches on, and the key of every
+/// per-route metric: dense, so counters and histograms index by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-#[allow(missing_docs)] // names mirror the RequestStats fields 1:1
 pub enum Route {
+    /// `POST /v1/analyze`
     Analyze,
+    /// `POST /v1/parallelize`
     Parallelize,
+    /// `POST /v1/run`
     Run,
+    /// `POST /v1/check`
     Check,
+    /// `POST /v1/parse`
     Parse,
+    /// `POST /v1/batch`
     Batch,
+    /// `GET /v1/report/{sha}`
     Report,
+    /// `GET /v1/corpus[/{name}]`
     Corpus,
+    /// `GET /v1/stats`
     Stats,
+    /// `GET /healthz`
     Healthz,
+    /// `GET /v1/metrics`
     Metrics,
+    /// `GET /v1/trace`
     Trace,
+    /// Anything else (404s, bad methods, unreadable requests).
     Other,
 }
 
 impl Route {
-    /// Number of routes (the histogram array length).
+    /// Number of routes (the counter and histogram array length).
     pub const COUNT: usize = 13;
 
     /// Every route, in declaration order (`as usize` indexes this).
@@ -280,7 +220,7 @@ impl Route {
         }
     }
 
-    /// Classify a request the same way [`ServerState::handle`] routes it.
+    /// The route [`ServerState::handle`] dispatches a request to.
     pub fn classify(method: &str, path: &str) -> Route {
         match (method, path) {
             ("GET", "/healthz") => Route::Healthz,
@@ -324,13 +264,14 @@ impl Default for ServeMetrics {
     }
 }
 
-/// The shared server state: the session-backed [`Service`] plus request
+/// The shared server state: the demand-driven [`Session`] plus request
 /// counters. Routing lives here so tests can drive it without sockets.
 pub struct ServerState {
     /// The demand-driven stage/run executor.
-    pub service: Service,
-    /// Per-endpoint counters surfaced by `/v1/stats`.
-    pub requests: RequestStats,
+    pub service: Session,
+    /// Per-route request counters (`/v1/stats` `requests`,
+    /// `adds_requests_total`), indexed by `Route as usize`.
+    pub requests: [AtomicU64; Route::COUNT],
     /// Latency histograms and connection gauges (`/v1/metrics`).
     pub metrics: ServeMetrics,
     /// Emit access-log lines (`serve --log`).
@@ -339,22 +280,19 @@ pub struct ServerState {
     /// driver's bare mode.
     pub instrument: bool,
     /// Event-loop counters (`/v1/stats` `net` section, `adds_net_*`
-    /// metrics). All-zero under the blocking engine.
+    /// metrics).
     pub net: Arc<NetStats>,
-    /// Which engine is serving (labels the stats document).
-    pub engine: Engine,
 }
 
 impl Default for ServerState {
     fn default() -> Self {
         ServerState {
-            service: Service::default(),
-            requests: RequestStats::default(),
+            service: Session::default(),
+            requests: Default::default(),
             metrics: ServeMetrics::default(),
             log_requests: false,
             instrument: true,
             net: Arc::new(NetStats::default()),
-            engine: Engine::default(),
         }
     }
 }
@@ -370,94 +308,43 @@ const MAX_BATCH_ITEMS: usize = 256;
 const MAX_BATCH_RUN_ITEMS: usize = 4;
 
 impl ServerState {
-    fn count(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    fn count(&self, route: Route) {
+        self.requests[route as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Route one request to a response.
     pub fn handle(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => {
-                self.count(&self.requests.healthz);
-                Response::text(200, "ok\n")
-            }
-            ("GET", "/v1/stats") => {
-                self.count(&self.requests.stats);
-                Response::json(200, self.stats_doc().pretty())
-            }
-            ("GET", "/v1/metrics") => {
-                self.count(&self.requests.metrics);
-                Response::text(200, self.metrics_text())
-            }
-            ("GET", "/v1/trace") => {
-                self.count(&self.requests.trace);
+        let route = Route::classify(&req.method, &req.path);
+        self.count(route);
+        match route {
+            Route::Healthz => Response::text(200, "ok\n"),
+            Route::Stats => Response::json(200, self.stats_doc().pretty()),
+            Route::Metrics => Response::text(200, self.metrics_text()),
+            Route::Trace => {
                 if trace::enabled() {
                     Response::json(200, trace::render_current())
                 } else {
                     Response::error(404, "tracing is off; start the server with --trace")
                 }
             }
-            ("GET", "/v1/corpus") => {
-                self.count(&self.requests.corpus);
-                let list = Json::obj([
-                    ("schema", Json::str("adds.corpus/v1")),
-                    (
-                        "programs",
-                        Json::Arr(
-                            corpus::CORPUS
-                                .iter()
-                                .map(|e| {
-                                    Json::obj([
-                                        ("name", Json::str(e.name)),
-                                        ("about", Json::str(e.about)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]);
-                Response::json(200, list.pretty())
-            }
-            ("GET", path) if path.starts_with("/v1/corpus/") => {
-                self.count(&self.requests.corpus);
-                let name = &path["/v1/corpus/".len()..];
-                match corpus::find(name) {
+            Route::Corpus => match req.path.strip_prefix("/v1/corpus/") {
+                None => Response::json(200, corpus_doc().pretty()),
+                Some(name) => match corpus::find(name) {
                     Some(e) => Response::text(200, e.source),
                     None => Response::error(404, &format!("unknown corpus program `{name}`")),
-                }
-            }
-            ("GET", path) if path.starts_with("/v1/report/") => {
-                self.count(&self.requests.report);
-                self.report_lookup(&path["/v1/report/".len()..], req)
-            }
-            ("POST", "/v1/analyze") => {
-                self.count(&self.requests.analyze);
-                self.stage_request(Stage::Analyze, req)
-            }
-            ("POST", "/v1/parallelize") => {
-                self.count(&self.requests.parallelize);
-                self.stage_request(Stage::Parallelize, req)
-            }
-            ("POST", "/v1/check") => {
-                self.count(&self.requests.check);
-                self.stage_request(Stage::Check, req)
-            }
-            ("POST", "/v1/parse") => {
-                self.count(&self.requests.parse);
-                self.stage_request(Stage::Parse, req)
-            }
-            ("POST", "/v1/run") => {
-                self.count(&self.requests.run);
-                self.run_request(req)
-            }
-            ("POST", "/v1/batch") => {
-                self.count(&self.requests.batch);
-                self.batch_request(req)
-            }
-            (method, path) => {
-                self.count(&self.requests.other);
+                },
+            },
+            Route::Report => self.report_lookup(&req.path["/v1/report/".len()..], req),
+            Route::Analyze => self.stage_request(Stage::Analyze, req),
+            Route::Parallelize => self.stage_request(Stage::Parallelize, req),
+            Route::Check => self.stage_request(Stage::Check, req),
+            Route::Parse => self.stage_request(Stage::Parse, req),
+            Route::Run => self.run_request(req),
+            Route::Batch => self.batch_request(req),
+            Route::Other => {
+                let (method, path) = (&req.method, &req.path);
                 let known_path = matches!(
-                    path,
+                    path.as_str(),
                     "/healthz"
                         | "/v1/stats"
                         | "/v1/metrics"
@@ -479,7 +366,7 @@ impl ServerState {
         }
     }
 
-    /// The `/v1/stats` document (`adds.serve-stats/v5`): request-level
+    /// The `/v1/stats` document (`adds.serve-stats/v6`): request-level
     /// cache counters, per-query-layer compute counters, per-endpoint
     /// request counts, latency quantiles (per route and per query layer,
     /// derived from the lock-free log₂ histograms), parallel-executor
@@ -489,12 +376,13 @@ impl ServerState {
     /// added `queries.dropped`, `latency`, and `connections` to the `/v1`
     /// shape; `/v3` added `parallel`; `/v4` added `cache.disk_hits` and
     /// the `store` section; `/v5` added the `net` section for the
-    /// event-driven engine.)
+    /// event-driven engine; `/v6` dropped `net.engine`, since the reactor
+    /// is the only engine.)
     pub fn stats_doc(&self) -> Json {
         let cs = self.service.stats();
         let u = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
         Json::obj([
-            ("schema", Json::str("adds.serve-stats/v5")),
+            ("schema", Json::str("adds.serve-stats/v6")),
             (
                 "cache",
                 Json::obj([
@@ -540,21 +428,12 @@ impl ServerState {
             ),
             (
                 "requests",
-                Json::obj([
-                    ("analyze", u(&self.requests.analyze)),
-                    ("parallelize", u(&self.requests.parallelize)),
-                    ("run", u(&self.requests.run)),
-                    ("check", u(&self.requests.check)),
-                    ("parse", u(&self.requests.parse)),
-                    ("batch", u(&self.requests.batch)),
-                    ("report", u(&self.requests.report)),
-                    ("corpus", u(&self.requests.corpus)),
-                    ("stats", u(&self.requests.stats)),
-                    ("healthz", u(&self.requests.healthz)),
-                    ("metrics", u(&self.requests.metrics)),
-                    ("trace", u(&self.requests.trace)),
-                    ("other", u(&self.requests.other)),
-                ]),
+                Json::Obj(
+                    Route::ALL
+                        .iter()
+                        .map(|&r| (r.name().to_string(), u(&self.requests[r as usize])))
+                        .collect(),
+                ),
             ),
             (
                 "latency",
@@ -637,7 +516,6 @@ impl ServerState {
             ("net", {
                 let n = self.net.snapshot();
                 Json::obj([
-                    ("engine", Json::str(self.engine.name())),
                     ("open", Json::UInt(n.open)),
                     ("accepted", Json::UInt(n.accepted)),
                     ("rejected", Json::UInt(n.rejected)),
@@ -693,23 +571,10 @@ impl ServerState {
         let mut out = String::from("# adds.metrics/v1\n");
 
         out.push_str("# TYPE adds_requests_total counter\n");
-        for (&route, counter) in Route::ALL.iter().zip([
-            &self.requests.analyze,
-            &self.requests.parallelize,
-            &self.requests.run,
-            &self.requests.check,
-            &self.requests.parse,
-            &self.requests.batch,
-            &self.requests.report,
-            &self.requests.corpus,
-            &self.requests.stats,
-            &self.requests.healthz,
-            &self.requests.metrics,
-            &self.requests.trace,
-            &self.requests.other,
-        ]) {
+        for &route in Route::ALL {
             let label = format!("route=\"{}\"", route.name());
-            prom_counter(&mut out, "adds_requests_total", &label, a(counter));
+            let n = a(&self.requests[route as usize]);
+            prom_counter(&mut out, "adds_requests_total", &label, n);
         }
         prom_counter(
             &mut out,
@@ -886,7 +751,7 @@ impl ServerState {
         }
         let matrices = flag(req, "matrices");
         let out = self.service.stage(source, StageRequest { stage, matrices });
-        let doc = Service::stage_doc(stage, &out.report, req.param("name"));
+        let doc = Session::stage_doc(stage, &out.report, req.param("name"));
         Response::json(200, doc.pretty())
             .with_header("X-Adds-Sha256", out.digest.hex())
             .with_header("X-Adds-Cache", out.outcome.name().to_string())
@@ -905,7 +770,7 @@ impl ServerState {
         };
         let out = self.service.run(source, &RunRequest { opts });
         let resp = match &*out.result {
-            Ok(report) => Response::json(200, Service::run_doc(report, req.param("name")).pretty()),
+            Ok(report) => Response::json(200, Session::run_doc(report, req.param("name")).pretty()),
             Err(msg) => {
                 // The cached canonical error names the program by its
                 // content hash; restore the caller's display name, same
@@ -1056,7 +921,7 @@ impl ServerState {
                     .service
                     .run(&item.source, &RunRequest { opts: opts.clone() });
                 let (item_ok, doc) = match &*out.result {
-                    Ok(report) => (true, Service::run_doc(report, display.as_deref())),
+                    Ok(report) => (true, Session::run_doc(report, display.as_deref())),
                     Err(msg) => {
                         let msg = match display {
                             Some(n) => msg.replace(&out.digest.hex(), n),
@@ -1078,7 +943,7 @@ impl ServerState {
                         matrices: *matrices,
                     },
                 );
-                let doc = Service::stage_doc(*stage, &out.report, display.as_deref());
+                let doc = Session::stage_doc(*stage, &out.report, display.as_deref());
                 (
                     out.report.ok,
                     batch_result(display, &out.digest, out.outcome.name(), out.report.ok, doc),
@@ -1101,7 +966,7 @@ impl ServerState {
             .lookup(&digest, StageRequest { stage, matrices })
         {
             Some(report) => {
-                let doc = Service::stage_doc(stage, &report, req.param("name"));
+                let doc = Session::stage_doc(stage, &report, req.param("name"));
                 Response::json(200, doc.pretty())
                     .with_header("X-Adds-Sha256", digest.hex())
                     .with_header("X-Adds-Cache", "hit".to_string())
@@ -1116,6 +981,18 @@ impl ServerState {
             ),
         }
     }
+}
+
+/// The `GET /v1/corpus` listing (`adds.corpus/v1`).
+fn corpus_doc() -> Json {
+    let programs = corpus::CORPUS
+        .iter()
+        .map(|e| Json::obj([("name", Json::str(e.name)), ("about", Json::str(e.about))]))
+        .collect();
+    Json::obj([
+        ("schema", Json::str("adds.corpus/v1")),
+        ("programs", Json::Arr(programs)),
+    ])
 }
 
 /// A `{count, p50_us, p90_us, p99_us}` summary of one latency histogram
@@ -1150,8 +1027,8 @@ impl BatchItem {
     /// The `(digest, fingerprint)` cache key this item's request-level
     /// query resolves to — the identity the batch executor dedupes on, so
     /// two items that would share a cache entry never race for it.
-    fn cache_key(&self, service: &Service) -> (Digest, String) {
-        let digest = crate::sha::sha256(self.source.as_bytes());
+    fn cache_key(&self, service: &Session) -> (Digest, String) {
+        let digest = adds_query::sha::sha256(self.source.as_bytes());
         let fp = service.db().fingerprints();
         let fingerprint = match &self.op {
             BatchOp::Run(opts) => fp.run_report(opts),
@@ -1285,9 +1162,7 @@ pub fn parse_usize_list(s: &str) -> Option<Vec<usize>> {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-    jobs: usize,
     trace_path: Option<String>,
-    engine: Engine,
     reactor_opts: ReactorOptions,
 }
 
@@ -1332,22 +1207,19 @@ impl Server {
                 // spawns scoped threads, so peak threads are bounded by
                 // jobs × jobs, not unbounded recursion (nested fan-outs
                 // run inline).
-                service: Service::with_config(&SessionConfig {
+                service: Session::with_config(&SessionConfig {
                     cache_capacity: opts.cache_capacity,
                     versions: None,
                     jobs: opts.jobs,
                     store,
                 }),
-                requests: RequestStats::default(),
+                requests: Default::default(),
                 metrics: ServeMetrics::default(),
                 net: Arc::new(NetStats::default()),
                 log_requests: opts.log,
                 instrument: opts.instrument,
-                engine: opts.engine,
             }),
-            jobs,
             trace_path: opts.trace_path.clone(),
-            engine: opts.engine,
             reactor_opts: ReactorOptions {
                 workers: jobs,
                 max_connections: opts.max_connections.max(1),
@@ -1371,38 +1243,13 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Serve until the process exits. [`Engine::Reactor`] runs the event
-    /// loop on the calling thread (workers live inside the reactor);
-    /// [`Engine::Blocking`] runs `jobs - 1` background accept workers
-    /// plus the calling thread.
+    /// Serve until the process exits: the event loop runs on the calling
+    /// thread, request execution on the reactor's worker pool.
     pub fn run(self) -> std::io::Result<()> {
         let stop = Arc::new(AtomicBool::new(false));
         let flusher = spawn_flusher(&self.state, &stop);
-        match self.engine {
-            Engine::Blocking => {
-                let mut workers = Vec::new();
-                for _ in 1..self.jobs {
-                    workers.push(spawn_worker(&self.listener, &self.state, &stop)?);
-                }
-                worker_loop(&self.listener, &self.state, &stop);
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            Engine::Reactor => {
-                let proto = Arc::new(HttpProto {
-                    state: Arc::clone(&self.state),
-                });
-                let reactor = Reactor::new(
-                    self.listener,
-                    proto,
-                    self.reactor_opts,
-                    Arc::clone(&self.state.net),
-                    Arc::clone(&stop),
-                )?;
-                reactor.run();
-            }
-        }
+        let reactor = http_reactor(self.listener, &self.state, self.reactor_opts, &stop)?;
+        reactor.run();
         stop.store(true, Ordering::SeqCst);
         if let Some(f) = flusher {
             let _ = f.join();
@@ -1413,48 +1260,46 @@ impl Server {
         Ok(())
     }
 
-    /// Start serving on background threads and return a handle that can
+    /// Start serving on a background thread and return a handle that can
     /// stop the server (used by tests and the bench driver).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flusher = spawn_flusher(&self.state, &stop);
-        let (workers, reactor_stop) = match self.engine {
-            Engine::Blocking => {
-                let mut workers = Vec::new();
-                for _ in 0..self.jobs {
-                    workers.push(spawn_worker(&self.listener, &self.state, &stop)?);
-                }
-                (workers, None)
-            }
-            Engine::Reactor => {
-                let proto = Arc::new(HttpProto {
-                    state: Arc::clone(&self.state),
-                });
-                let reactor = Reactor::new(
-                    self.listener,
-                    proto,
-                    self.reactor_opts,
-                    Arc::clone(&self.state.net),
-                    Arc::clone(&stop),
-                )?;
-                let handle = reactor.stop_handle();
-                let join = std::thread::Builder::new()
-                    .name("net-reactor".into())
-                    .spawn(move || reactor.run())?;
-                (vec![join], Some(handle))
-            }
-        };
+        let reactor = http_reactor(self.listener, &self.state, self.reactor_opts, &stop)?;
+        let reactor_stop = reactor.stop_handle();
+        let reactor_thread = std::thread::Builder::new()
+            .name("net-reactor".into())
+            .spawn(move || reactor.run())?;
         Ok(ServerHandle {
             addr,
             state: self.state,
-            stop,
-            workers,
+            reactor_stop,
+            reactor_thread: Some(reactor_thread),
             flusher,
             trace_path: self.trace_path,
-            reactor_stop,
         })
     }
+}
+
+/// The reactor serving `state` over `listener`; it drains and returns once
+/// `stop` is set.
+fn http_reactor(
+    listener: TcpListener,
+    state: &Arc<ServerState>,
+    opts: ReactorOptions,
+    stop: &Arc<AtomicBool>,
+) -> std::io::Result<Reactor<HttpProto>> {
+    let proto = Arc::new(HttpProto {
+        state: Arc::clone(state),
+    });
+    Reactor::new(
+        listener,
+        proto,
+        opts,
+        Arc::clone(&state.net),
+        Arc::clone(stop),
+    )
 }
 
 /// How often the store flusher commits the write-behind buffer. Between
@@ -1483,181 +1328,36 @@ fn spawn_flusher(
     }))
 }
 
-fn spawn_worker(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    stop: &Arc<AtomicBool>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    let listener = listener.try_clone()?;
-    let state = Arc::clone(state);
-    let stop = Arc::clone(stop);
-    Ok(std::thread::spawn(move || {
-        worker_loop(&listener, &state, &stop)
-    }))
-}
-
-/// Per-connection socket timeout for the *first* request: a worker
-/// blocked on a silent client gets its thread back instead of being
-/// parked forever (which would let `jobs` idle connections freeze the
-/// whole fixed pool). Subsequent keep-alive reads use the shorter
-/// [`KEEPALIVE_IDLE_TIMEOUT`].
-const SOCKET_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
-
-fn worker_loop(listener: &TcpListener, state: &ServerState, stop: &AtomicBool) {
-    loop {
-        let conn = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((mut conn, _)) = conn else {
-            // Accept can fail persistently (e.g. EMFILE under fd
-            // exhaustion); back off instead of spinning the core.
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            continue;
-        };
-        handle_connection(&mut conn, state);
-    }
-}
-
-/// Serve one connection: read a request, route it, write the response —
-/// and, when the client opted into keep-alive, loop for the next request
-/// until the idle timeout, the per-connection cap, or a close. Socket
-/// errors are dropped: the client has gone away and the exit code of a
-/// server is not the place to report that.
-/// Keeps the connection gauges honest on every exit path: open on
-/// construction, closed (and un-counted from keep-alive, if parked
-/// there) on drop.
-struct ConnGauges<'a> {
-    metrics: &'a ServeMetrics,
-    on: bool,
-    keepalive: bool,
-}
-
-impl<'a> ConnGauges<'a> {
-    fn new(metrics: &'a ServeMetrics, on: bool) -> ConnGauges<'a> {
-        if on {
-            metrics.open_connections.inc();
-        }
-        ConnGauges {
-            metrics,
-            on,
-            keepalive: false,
-        }
-    }
-
-    /// The connection survived its first response and is now reusable.
-    fn entered_keepalive(&mut self) {
-        if self.on && !self.keepalive {
-            self.keepalive = true;
-            self.metrics.keepalive_connections.inc();
-        }
-    }
-}
-
-impl Drop for ConnGauges<'_> {
-    fn drop(&mut self) {
-        if self.on {
-            self.metrics.open_connections.dec();
-            if self.keepalive {
-                self.metrics.keepalive_connections.dec();
-            }
-        }
-    }
-}
-
-/// The shared request-execution path of **both** engines: routing, panic
-/// containment, tracing, route-latency metrics, and access logging, in
-/// exactly this order. Returns the response, whether the connection may
-/// be kept alive (`served` is 1-based), and the still-open `serve.request`
-/// span — the caller drops it after serializing, so span timing matches
-/// the blocking engine's historical shape.
-fn process_request(
-    state: &ServerState,
-    req: &Request,
-    served: usize,
-) -> (Response, bool, Option<trace::Span>) {
-    let tracing = state.instrument && trace::enabled();
-    let keep_alive = req.keep_alive && served < KEEPALIVE_MAX_REQUESTS;
-    let mut root = if tracing {
-        trace::span("serve.request", "serve")
-    } else {
-        None
-    };
-    let started = std::time::Instant::now();
-    let resp = {
-        let _execute = if tracing {
-            trace::span("serve.execute", "serve")
-        } else {
-            None
-        };
-        // A handler panic must not take down a pool worker (blocking
-        // engine) or wedge a reactor connection forever.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.handle(req))) {
-            Ok(resp) => resp,
-            Err(_) => Response::error(500, "internal error"),
-        }
-    };
-    let micros = started.elapsed().as_micros() as u64;
-    if let Some(s) = root.as_mut() {
-        s.arg("method", req.method.clone());
-        s.arg("path", req.path.clone());
-        s.arg("status", resp.status.to_string());
-    }
-    if state.instrument {
-        let route = Route::classify(&req.method, &req.path);
-        state.metrics.route_latency[route as usize].record(micros);
-        state.metrics.bytes_in.add(req.body.len() as u64);
-    }
-    if state.log_requests {
-        emit_access_line(&req.method, &req.path, &resp, micros, req.body.len() as u64);
-    }
-    (resp, keep_alive, root)
-}
-
-/// Count, record, log, and render the response for an unreadable request —
-/// the shared error path of both engines (must stay byte-identical).
-fn bad_request_response(state: &ServerState, e: &BadRequest) -> Response {
-    state.requests.other.fetch_add(1, Ordering::Relaxed);
-    let status = match e {
-        BadRequest::TooLarge(_) => 413,
-        _ => 400,
-    };
-    let resp = Response::error(status, &e.to_string());
-    if state.log_requests {
-        emit_access_line("-", "-", &resp, 0, 0);
-    }
-    if state.instrument {
-        state.metrics.route_latency[Route::Other as usize].record(0);
-    }
-    resp
-}
-
 /// True once `buf` holds a complete header block (the blank line).
 fn headers_complete(buf: &[u8]) -> bool {
     buf.windows(2).any(|w| w == b"\n\n") || buf.windows(3).any(|w| w == b"\n\r\n")
 }
 
 /// The HTTP glue between [`adds_net`]'s reactor and [`ServerState`]:
-/// frames with the exact [`read_request`] parser, executes through the
-/// exact [`process_request`] path, and serializes with the exact
-/// [`serialize_response`] bytes the blocking engine writes.
+/// frames with the head parser behind [`read_request`], executes through
+/// [`ServerState::handle`], and serializes with [`serialize_response`].
 struct HttpProto {
     state: Arc<ServerState>,
 }
 
 impl HttpProto {
-    /// Parse one request from the head of `buf`, returning the result and
-    /// how many bytes of `buf` the parser consumed (header bytes plus the
-    /// `Content-Length` body, minus the reader's unconsumed look-ahead).
-    fn parse(buf: &[u8]) -> (Result<Request, BadRequest>, usize) {
-        let mut reader = std::io::BufReader::new(std::io::Cursor::new(buf));
-        let res = read_request(&mut reader);
-        let consumed = reader.get_ref().position() as usize - reader.buffer().len();
-        (res, consumed)
-    }
-
+    /// Count, record, log, and render the response for an unreadable
+    /// request: the `Response::error` a reader of the same bytes gets.
     fn error_bytes(&self, e: &BadRequest) -> Vec<u8> {
-        serialize_response(&bad_request_response(&self.state, e), false)
+        let state = &self.state;
+        state.count(Route::Other);
+        let status = match e {
+            BadRequest::TooLarge(_) => 413,
+            _ => 400,
+        };
+        let resp = Response::error(status, &e.to_string());
+        if state.log_requests {
+            emit_access_line("-", "-", &resp, 0, 0);
+        }
+        if state.instrument {
+            state.metrics.route_latency[Route::Other as usize].record(0);
+        }
+        serialize_response(&resp, false)
     }
 }
 
@@ -1669,36 +1369,83 @@ impl Protocol for HttpProto {
         // parser rejects those): end-of-slice inside the headers would
         // otherwise read as the connection closing mid-request.
         if !headers_complete(buf) && buf.len() < MAX_HEADER_BYTES {
-            return Framed::Incomplete;
+            return Framed::Incomplete {
+                need: buf.len() + 1,
+            };
         }
         let parse_started = std::time::Instant::now();
-        match Self::parse(buf) {
-            (Ok(req), consumed) => {
-                if self.state.instrument && trace::enabled() {
-                    trace::complete_between(
-                        "serve.parse-body",
-                        "serve",
-                        parse_started,
-                        std::time::Instant::now(),
-                        vec![("path", req.path.clone())],
-                    );
-                }
-                Framed::Frame {
-                    consumed,
-                    frame: req,
+        let mut rest = buf;
+        let head = match read_head(&mut rest) {
+            Ok(head) => head,
+            Err(e) => {
+                return Framed::Reject {
+                    response: self.error_bytes(&e),
                 }
             }
-            // The declared body hasn't fully arrived yet.
-            (Err(BadRequest::Io(_)), _) | (Err(BadRequest::Closed), _) => Framed::Incomplete,
-            (Err(e), _) => Framed::Reject {
-                response: self.error_bytes(&e),
-            },
+        };
+        // The head is parsed; the reactor offers the buffer again only
+        // once the declared body has fully arrived.
+        let head_len = buf.len() - rest.len();
+        let consumed = head_len + head.content_length;
+        let Some(body) = buf.get(head_len..consumed) else {
+            return Framed::Incomplete { need: consumed };
+        };
+        let req = head.into_request(body.to_vec());
+        if self.state.instrument && trace::enabled() {
+            trace::complete_between(
+                "serve.parse-body",
+                "serve",
+                parse_started,
+                std::time::Instant::now(),
+                vec![("path", req.path.clone())],
+            );
+        }
+        Framed::Frame {
+            consumed,
+            frame: req,
         }
     }
 
+    /// Routing, panic containment, tracing, route-latency metrics, and
+    /// access logging, in exactly this order; the `serve.request` span
+    /// closes after serialization.
     fn execute(&self, req: Request, served: usize) -> Reply {
-        let tracing = self.state.instrument && trace::enabled();
-        let (resp, keep_alive, root) = process_request(&self.state, &req, served);
+        let state = &self.state;
+        let tracing = state.instrument && trace::enabled();
+        let keep_alive = req.keep_alive && served < KEEPALIVE_MAX_REQUESTS;
+        let mut root = if tracing {
+            trace::span("serve.request", "serve")
+        } else {
+            None
+        };
+        let started = std::time::Instant::now();
+        let resp = {
+            let _execute = if tracing {
+                trace::span("serve.execute", "serve")
+            } else {
+                None
+            };
+            // A handler panic must not take down a worker or wedge its
+            // connection forever.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.handle(&req))) {
+                Ok(resp) => resp,
+                Err(_) => Response::error(500, "internal error"),
+            }
+        };
+        let micros = started.elapsed().as_micros() as u64;
+        if let Some(s) = root.as_mut() {
+            s.arg("method", req.method.clone());
+            s.arg("path", req.path.clone());
+            s.arg("status", resp.status.to_string());
+        }
+        if state.instrument {
+            let route = Route::classify(&req.method, &req.path);
+            state.metrics.route_latency[route as usize].record(micros);
+            state.metrics.bytes_in.add(req.body.len() as u64);
+        }
+        if state.log_requests {
+            emit_access_line(&req.method, &req.path, &resp, micros, req.body.len() as u64);
+        }
         let bytes = {
             let _serialize = if tracing {
                 trace::span("serve.serialize", "serve")
@@ -1734,13 +1481,12 @@ impl Protocol for HttpProto {
 
     fn eof_response(&self, buf: &[u8], served: usize) -> Option<Vec<u8>> {
         // The client closed mid-request; the buffer really is all there
-        // is, so re-parse it with EOF semantics and mirror the blocking
-        // engine's error branch byte for byte.
-        match Self::parse(buf) {
-            (Ok(_), _) | (Err(BadRequest::Closed), _) => None,
-            // Mid-stream EOF on a keep-alive connection is silent there too.
-            (Err(BadRequest::Io(_)), _) if served > 0 => None,
-            (Err(e), _) => Some(self.error_bytes(&e)),
+        // is, so read it to its end and answer what that reader reports.
+        match read_request(&mut std::io::BufReader::new(buf)) {
+            Ok(_) | Err(BadRequest::Closed) => None,
+            // Mid-stream EOF on a keep-alive connection closes silently.
+            Err(BadRequest::Io(_)) if served > 0 => None,
+            Err(e) => Some(self.error_bytes(&e)),
         }
     }
 
@@ -1766,74 +1512,6 @@ impl Protocol for HttpProto {
     }
 }
 
-fn handle_connection(conn: &mut TcpStream, state: &ServerState) {
-    let _ = conn.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = conn.set_write_timeout(Some(SOCKET_TIMEOUT));
-    // Responses are written as head + body; without TCP_NODELAY, Nagle
-    // holds the second small segment until the client ACKs, which on a
-    // keep-alive connection (no close to flush it) costs a delayed-ACK
-    // round trip (~40ms) per request.
-    let _ = conn.set_nodelay(true);
-    // ONE buffered reader for the whole connection: read-ahead from one
-    // request (a pipelined next request) must survive into the next
-    // `read_request` call. Responses are written through `get_mut`.
-    let mut reader = std::io::BufReader::new(conn);
-    let mut served = 0usize;
-    let mut gauges = ConnGauges::new(&state.metrics, state.instrument);
-    let tracing = state.instrument && trace::enabled();
-    loop {
-        // The parse-body span must not absorb keep-alive idle time, so
-        // when tracing, block for the first byte *before* starting the
-        // clock.
-        if tracing {
-            use std::io::BufRead;
-            let _ = reader.fill_buf();
-        }
-        let parse_started = std::time::Instant::now();
-        let req = match read_request(&mut reader) {
-            Ok(req) => req,
-            Err(BadRequest::Closed) => return,
-            Err(BadRequest::Io(_)) if served > 0 => {
-                // Idle keep-alive connection timed out or died mid-read;
-                // nothing useful to answer.
-                return;
-            }
-            Err(e) => {
-                let resp = bad_request_response(state, &e);
-                let _ = write_response(reader.get_mut(), &resp, false);
-                return;
-            }
-        };
-        if tracing {
-            trace::complete_between(
-                "serve.parse-body",
-                "serve",
-                parse_started,
-                std::time::Instant::now(),
-                vec![("path", req.path.clone())],
-            );
-        }
-        served += 1;
-        let (resp, keep_alive, root) = process_request(state, &req, served);
-        let write_ok = {
-            let _serialize = if tracing {
-                trace::span("serve.serialize", "serve")
-            } else {
-                None
-            };
-            write_response(reader.get_mut(), &resp, keep_alive).is_ok()
-        };
-        drop(root);
-        if !write_ok || !keep_alive {
-            return;
-        }
-        gauges.entered_keepalive();
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(KEEPALIVE_IDLE_TIMEOUT));
-    }
-}
-
 /// Write one access-log line to stdout (locked per line; errors dropped —
 /// a closed stdout must not take the server down).
 fn emit_access_line(method: &str, path: &str, resp: &Response, duration_us: u64, bytes_in: u64) {
@@ -1852,15 +1530,14 @@ fn emit_access_line(method: &str, path: &str, resp: &Response, duration_us: u64,
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::stop`])
-/// shuts the workers down.
+/// shuts it down.
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    reactor_stop: StopHandle,
+    reactor_thread: Option<std::thread::JoinHandle<()>>,
     flusher: Option<std::thread::JoinHandle<()>>,
     trace_path: Option<String>,
-    reactor_stop: Option<StopHandle>,
 }
 
 impl ServerHandle {
@@ -1874,8 +1551,8 @@ impl ServerHandle {
         Arc::clone(&self.state)
     }
 
-    /// Stop the workers: set the flag, then poke the listener once per
-    /// worker so blocked `accept`s wake up and observe it.
+    /// Stop the server: in-flight requests finish (up to the reactor's
+    /// drain deadline), idle connections close, and the store commits.
     pub fn stop(self) {
         // Shutdown lives in Drop so that both explicit stops and scope
         // exits go through the same sequence.
@@ -1884,21 +1561,11 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        match &self.reactor_stop {
-            // The reactor owns every socket; its waker interrupts the
-            // poll, and drain closes idle connections immediately.
-            Some(h) => h.stop(),
-            // Blocking workers park in accept(); poke the listener once
-            // per worker so each observes the flag.
-            None => {
-                for _ in 0..self.workers.len() {
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        // Sets the stop flag the flusher shares and wakes the reactor's
+        // poll; the drain closes idle connections at once.
+        self.reactor_stop.stop();
+        if let Some(t) = self.reactor_thread.take() {
+            let _ = t.join();
         }
         // The flusher's exit path runs the final commit, so joining it is
         // what makes a clean stop lossless.
@@ -1907,6 +1574,42 @@ impl Drop for ServerHandle {
         }
         if let Some(path) = &self.trace_path {
             let _ = trace::dump_to_file(path);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partial_requests_say_how_many_bytes_they_need() {
+        let proto = HttpProto {
+            state: Arc::new(ServerState::default()),
+        };
+        let head = b"POST /v1/parse?name=t.il HTTP/1.1\r\nContent-Length: 10\r\n\r\n";
+        // Inside the head: one more byte.
+        let partial = &head[..head.len() - 2];
+        match proto.frame(partial, 0) {
+            Framed::Incomplete { need } => assert_eq!(need, partial.len() + 1),
+            _ => panic!("a partial head must not frame"),
+        }
+        // Head complete, body partial: the head plus the declared body.
+        let mut buf = head.to_vec();
+        buf.extend_from_slice(b"type T");
+        match proto.frame(&buf, 0) {
+            Framed::Incomplete { need } => assert_eq!(need, head.len() + 10),
+            _ => panic!("a partial body must not frame"),
+        }
+        // The declared body plus a pipelined byte: exactly one request.
+        buf.extend_from_slice(b" {}.G");
+        match proto.frame(&buf, 0) {
+            Framed::Frame { consumed, frame } => {
+                assert_eq!(consumed, head.len() + 10);
+                assert_eq!(frame.body, b"type T {}.");
+                assert_eq!(frame.param("name"), Some("t.il"));
+            }
+            _ => panic!("a complete request must frame"),
         }
     }
 }

@@ -5,10 +5,9 @@
 //! completion order, and parallelism never participates in a
 //! fingerprint, so thread count cannot leak into any output byte.
 
-use adds_serve::json::Json;
-use adds_serve::pipeline::Stage;
+use adds_query::json::Json;
+use adds_query::session::{Session, Stage, StageRequest};
 use adds_serve::server::{ServeOptions, Server, ServerHandle};
-use adds_serve::service::{Session, StageRequest};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -161,7 +160,7 @@ fn store_backed_server_is_byte_identical_across_restarts() {
     {
         let server = Server::bind(&opts).expect("bind").spawn().expect("spawn");
         for e in adds_serve::corpus::CORPUS {
-            let sha = adds_serve::sha::sha256(e.source.as_bytes()).hex();
+            let sha = adds_query::sha::sha256(e.source.as_bytes()).hex();
             let target = format!("/v1/analyze?name={}&matrices=1", e.name);
             let (status, analyze) = http_post(server.addr(), &target, e.source.as_bytes());
             assert_eq!(status, 200, "{}", e.name);

@@ -1,9 +1,11 @@
-//! The reactor engine against the blocking engine, over real sockets:
+//! The reactor over real sockets, against an in-process oracle:
 //!
-//! * **byte-identity** — the same request sequence against a fresh server
-//!   of each engine must produce byte-identical responses, across every
-//!   corpus program and stage, the GET endpoints, and the error paths
-//!   (this is the contract that makes the engines interchangeable);
+//! * **byte-identity** — a request sequence sent to a fresh server must
+//!   be answered byte for byte as a fresh [`ServerState`] answers the same
+//!   sequence in process (`read_request` → `ServerState::handle` →
+//!   `serialize_response`, or the 400/413 error document for an
+//!   unreadable request), across every corpus program and stage, the GET
+//!   endpoints, and the error paths;
 //! * **partial I/O torture** — requests dribbled a byte at a time and
 //!   pipelined requests split at arbitrary packet boundaries must
 //!   reassemble to the same responses;
@@ -12,22 +14,47 @@
 //! * **connection budget** — connections over `--max-conns` get
 //!   `503` + `Retry-After` and are counted, while established
 //!   connections keep working;
-//! * **`/v1/stats` v5** — the `net` section reports the live engine.
+//! * **`/v1/stats` v6** — the `net` section counts the reactor's work.
 
-use adds_serve::json::Json;
-use adds_serve::server::{Engine, ServeOptions, Server, ServerHandle};
-use std::io::{ErrorKind, Read, Write};
+use adds_query::json::Json;
+use adds_serve::http::{read_request, serialize_response, BadRequest, Response};
+use adds_serve::server::{ServeOptions, Server, ServerHandle, ServerState};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-fn spawn_engine(engine: Engine) -> ServerHandle {
+fn spawn_server() -> ServerHandle {
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         jobs: 2,
-        engine,
         ..ServeOptions::default()
     };
     Server::bind(&opts).expect("bind").spawn().expect("spawn")
+}
+
+/// The expected bytes: a fresh [`ServerState`] answering whole requests in
+/// process, with no sockets, framing, or worker pool in the way. Feed it
+/// the same sequence as the server under test so cache outcomes
+/// (`X-Adds-Cache: miss` then `hit`) line up.
+struct Oracle(ServerState);
+
+impl Oracle {
+    fn new() -> Oracle {
+        Oracle(ServerState::default())
+    }
+
+    fn answer(&self, request: &[u8]) -> Vec<u8> {
+        match read_request(&mut BufReader::new(request)) {
+            Ok(req) => serialize_response(&self.0.handle(&req), req.keep_alive),
+            Err(e) => {
+                let status = match e {
+                    BadRequest::TooLarge(_) => 413,
+                    _ => 400,
+                };
+                serialize_response(&Response::error(status, &e.to_string()), false)
+            }
+        }
+    }
 }
 
 /// Read exactly one `Content-Length`-framed response as raw bytes,
@@ -91,13 +118,12 @@ fn status_of(raw: &[u8]) -> u16 {
 }
 
 #[test]
-fn engines_answer_byte_identically_across_the_corpus() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+fn served_bytes_match_the_oracle_across_the_corpus() {
+    let server = spawn_server();
+    let oracle = Oracle::new();
 
-    // The same sequence against both fresh servers, so cache outcomes
-    // (`X-Adds-Cache: miss` then `hit`) line up too. Stats/metrics are
-    // excluded: their payloads intentionally differ per engine.
+    // Stats/metrics are excluded: connection gauges, event-loop counters
+    // and latency histograms only move on the server.
     let mut requests: Vec<Vec<u8>> = Vec::new();
     for entry in adds_serve::corpus::CORPUS {
         for stage in ["analyze", "parallelize", "check", "parse"] {
@@ -114,7 +140,7 @@ fn engines_answer_byte_identically_across_the_corpus() {
         &format!("/v1/analyze?name={}", first.name),
         first.source,
     ));
-    let digest = adds_serve::sha::sha256(first.source.as_bytes()).hex();
+    let digest = adds_query::sha::sha256(first.source.as_bytes()).hex();
     requests.push(get(&format!("/v1/report/{digest}?stage=analyze")));
     requests.push(get("/v1/corpus"));
     requests.push(get("/v1/corpus/barnes_hut"));
@@ -125,60 +151,56 @@ fn engines_answer_byte_identically_across_the_corpus() {
         b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx"
             .to_vec(),
     );
+    // An over-limit body is refused from its head alone: no body is sent.
+    requests.push(
+        b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 9999999999\r\n\r\n".to_vec(),
+    );
 
     for (i, req) in requests.iter().enumerate() {
-        let a = raw_request(reactor.addr(), req);
-        let b = raw_request(blocking.addr(), req);
+        let got = raw_request(server.addr(), req);
+        let want = oracle.answer(req);
         assert_eq!(
-            a,
-            b,
-            "request #{i} diverged:\nreactor:  {:?}\nblocking: {:?}",
-            String::from_utf8_lossy(&a),
-            String::from_utf8_lossy(&b)
+            got,
+            want,
+            "request #{i} diverged:\nserved: {:?}\noracle: {:?}",
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want)
         );
     }
-
-    reactor.stop();
-    blocking.stop();
+    server.stop();
 }
 
 #[test]
-fn engines_agree_on_truncated_requests() {
-    // A client that sends half a request and half-closes: the blocking
-    // engine answers 400 on the parse error; the reactor's EOF path must
-    // produce the identical bytes.
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+fn truncated_request_matches_the_oracle() {
+    // A client that sends half a request and half-closes: reading those
+    // bytes to their end fails with a parse error, and the reactor's EOF
+    // path must answer exactly that 400.
+    let server = spawn_server();
     let truncated: &[u8] = b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Le";
-    let one = |addr: SocketAddr| {
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        conn.write_all(truncated).expect("write");
-        conn.shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        let mut resp = Vec::new();
-        conn.read_to_end(&mut resp).expect("read");
-        resp
-    };
-    let a = one(reactor.addr());
-    let b = one(blocking.addr());
-    assert_eq!(status_of(&a), 400);
-    assert_eq!(a, b, "truncated-request responses diverged");
-    reactor.stop();
-    blocking.stop();
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.write_all(truncated).expect("write");
+    conn.shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut got = Vec::new();
+    conn.read_to_end(&mut got).expect("read");
+    assert_eq!(status_of(&got), 400);
+    assert_eq!(
+        got,
+        Oracle::new().answer(truncated),
+        "truncated-request response diverged"
+    );
+    server.stop();
 }
 
 #[test]
 fn one_byte_writes_reassemble_to_the_same_response() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+    let server = spawn_server();
     let entry = adds_serve::corpus::find("list_scale_adds").unwrap();
     let req = post("/v1/analyze", entry.source);
+    let want = Oracle::new().answer(&req);
 
-    // Reference: the whole request in one write, against the oracle.
-    let want = raw_request(blocking.addr(), &req);
-
-    // Torture: the same bytes, one write syscall per byte.
-    let mut conn = TcpStream::connect(reactor.addr()).expect("connect");
+    // Torture: the request bytes, one write syscall per byte.
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
     conn.set_nodelay(true).unwrap();
     for chunk in req.chunks(1) {
         conn.write_all(chunk).expect("write byte");
@@ -187,14 +209,12 @@ fn one_byte_writes_reassemble_to_the_same_response() {
 
     assert_eq!(status_of(&got), 200);
     assert_eq!(got, want, "dribbled request produced different bytes");
-    reactor.stop();
-    blocking.stop();
+    server.stop();
 }
 
 #[test]
 fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
-    let reactor = spawn_engine(Engine::Reactor);
-    let blocking = spawn_engine(Engine::Blocking);
+    let server = spawn_server();
     let sum = adds_serve::corpus::find("list_sum").unwrap();
     let scale = adds_serve::corpus::find("list_scale_adds").unwrap();
     let parts = [
@@ -204,20 +224,18 @@ fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
         post("/v1/check", sum.source), // cache hit on its own prior item
     ];
 
-    // Reference responses from the oracle, same order, fresh connections.
-    let want: Vec<Vec<u8>> = parts
-        .iter()
-        .map(|r| raw_request(blocking.addr(), r))
-        .collect();
+    // Reference responses from the oracle, same order.
+    let oracle = Oracle::new();
+    let want: Vec<Vec<u8>> = parts.iter().map(|r| oracle.answer(r)).collect();
 
-    // One reactor connection, all four requests pipelined back-to-back,
+    // One connection, all four requests pipelined back-to-back,
     // written in 7-byte slices with pauses every 64 slices so the frames
     // land split across reads in many different places.
     let mut buf = Vec::new();
     for p in &parts {
         buf.extend_from_slice(p);
     }
-    let mut conn = TcpStream::connect(reactor.addr()).expect("connect");
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
     conn.set_nodelay(true).unwrap();
     for (i, chunk) in buf.chunks(7).enumerate() {
         conn.write_all(chunk).expect("write chunk");
@@ -229,11 +247,10 @@ fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
         let got = read_raw_response(&mut conn);
         assert_eq!(
             &got, want,
-            "pipelined response #{i} diverged from the blocking oracle"
+            "pipelined response #{i} diverged from the oracle"
         );
     }
-    reactor.stop();
-    blocking.stop();
+    server.stop();
 }
 
 #[test]
@@ -349,8 +366,8 @@ fn connection_budget_rejects_with_503_and_counts() {
 }
 
 #[test]
-fn stats_v5_net_section_reports_the_reactor() {
-    let server = spawn_engine(Engine::Reactor);
+fn stats_v6_net_section_reports_the_reactor() {
+    let server = spawn_server();
     // One inline-served probe and one pool-dispatched request.
     let h = raw_request(server.addr(), &get("/healthz"));
     assert_eq!(status_of(&h), 200);
@@ -363,10 +380,9 @@ fn stats_v5_net_section_reports_the_reactor() {
     let doc = Json::parse(&String::from_utf8_lossy(&raw[body_at..])).expect("stats JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("adds.serve-stats/v5")
+        Some("adds.serve-stats/v6")
     );
     let net = doc.get("net").expect("net section");
-    assert_eq!(net.get("engine").and_then(Json::as_str), Some("reactor"));
     assert!(net.get("accepted").unwrap().as_usize().unwrap() >= 3);
     assert!(net.get("dispatched").unwrap().as_usize().unwrap() >= 1);
     assert!(net.get("inline").unwrap().as_usize().unwrap() >= 1);

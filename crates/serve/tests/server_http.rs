@@ -3,13 +3,12 @@
 //! report path, keep-alive connection reuse, the batch endpoint, and the
 //! `/v1/stats` document shape.
 
-use adds_serve::cache::{Cache, CacheStats, Outcome};
-use adds_serve::http::KEEPALIVE_MAX_REQUESTS;
-use adds_serve::json::Json;
-use adds_serve::pipeline::{run_unit, InputUnit, Stage};
+use adds_query::cache::{Cache, CacheStats, Outcome};
+use adds_query::json::Json;
+use adds_query::session::{Session, Stage, StageRequest};
+use adds_query::sha::sha256;
+use adds_serve::http::{read_request, KEEPALIVE_MAX_REQUESTS};
 use adds_serve::server::{ServeOptions, Server, ServerHandle};
-use adds_serve::service::Service;
-use adds_serve::sha::sha256;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -133,12 +132,9 @@ fn analyze_is_byte_identical_to_the_cli_report_path() {
 
     // What `adds-cli analyze x.il --format json` renders: the same
     // session + wrapper path the batch executor uses.
-    let unit = InputUnit {
-        name: "x.il".to_string(),
-        origin: "file",
-        source: src.to_string(),
-    };
-    let report = run_unit(&unit, Stage::Analyze, false);
+    let report = Session::new()
+        .stage(src, StageRequest::new(Stage::Analyze))
+        .named("x.il", "file");
     let expected = Json::obj([
         ("schema", Json::str(Stage::Analyze.schema())),
         ("ok", Json::Bool(report.ok)),
@@ -186,7 +182,6 @@ fn dependent_stage_reuses_upstream_artifacts() {
     // The tentpole property, observed over real HTTP: a warm
     // `parallelize` after an `analyze` of the same bytes re-parses and
     // re-checks nothing — it starts from the cached analysis artifacts.
-    use adds_serve::sha::sha256;
     let server = spawn_server(2);
     let src = adds_serve::corpus::find("barnes_hut").unwrap().source;
     let digest = sha256(src.as_bytes());
@@ -569,32 +564,35 @@ fn bad_requests_are_4xx_not_crashes() {
 
 #[test]
 fn stats_document_shape_is_golden_on_a_fresh_server() {
-    // The blocking engine keeps the `net` section deterministic (all
-    // zeros): the reactor's poll-wakeup count depends on timing. The
-    // reactor-mode `net` section is covered structurally in the
-    // `reactor_parity` suite.
+    // Asked in process, before the reactor starts, so the `net` section
+    // is deterministic (all zeros): a live reactor's poll-wakeup count
+    // depends on timing. The live `net` section is covered structurally
+    // in the `reactor_parity` suite.
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         jobs: 1,
-        engine: adds_serve::server::Engine::Blocking,
         ..ServeOptions::default()
     };
-    let server = Server::bind(&opts).expect("bind").spawn().expect("spawn");
-    let (status, _, body) = http(server.addr(), "GET", "/v1/stats", b"");
-    assert_eq!(status, 200);
-    // The full `adds.serve-stats/v3` document for one `/v1/stats` hit on
-    // a fresh single-worker server: all counters zero except the stats
-    // request itself and the requesting connection's own `open` gauge
-    // (latency for the stats route records *after* the handler, so its
-    // histogram is still empty here).
+    let server = Server::bind(&opts).expect("bind");
+    let req = read_request(&mut BufReader::new(
+        &b"GET /v1/stats HTTP/1.1\r\nHost: test\r\n\r\n"[..],
+    ))
+    .expect("request");
+    let resp = server.state().handle(&req);
+    assert_eq!(resp.status, 200);
+    // The full `adds.serve-stats/v6` document for one `/v1/stats` request
+    // on a fresh single-worker server: all counters zero except the stats
+    // request itself (latency for the stats route records *after* the
+    // handler, so its histogram is still empty here). No connection is
+    // open; `metrics_endpoint_serves_prometheus_text` checks the live
+    // connection gauge.
     // `REGEN_GOLDEN=1 cargo test -p adds-serve stats_document` rewrites it.
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/stats_fresh.json");
-        std::fs::write(path, &body).expect("write golden");
+        std::fs::write(path, &resp.body).expect("write golden");
     }
     let expected = include_str!("golden/stats_fresh.json");
-    assert_eq!(String::from_utf8_lossy(&body), expected);
-    server.stop();
+    assert_eq!(String::from_utf8_lossy(&resp.body), expected);
 }
 
 #[test]
@@ -759,7 +757,7 @@ fn single_flight_under_concurrent_identical_requests() {
 fn single_flight_through_the_service_computes_once() {
     // Same property at the session level, with a real analysis as the
     // payload: concurrent identical requests share one canonical report.
-    let svc = Arc::new(Service::new());
+    let svc = Arc::new(Session::new());
     let src = adds_serve::corpus::find("barnes_hut").unwrap().source;
     const THREADS: usize = 6;
     let start = Arc::new(Barrier::new(THREADS));
