@@ -35,6 +35,7 @@ pub(crate) use adds::query::{json, report};
 pub(crate) use adds_serve::corpus;
 
 use adds::query::runner;
+use adds_serve::metrics::{visit_store, JsonSink};
 use adds_serve::server::{ServeOptions, Server};
 use args::{Command, Format, ParsedArgs};
 use json::Json;
@@ -262,7 +263,11 @@ fn run_store(args: &args::Args) -> i32 {
         StoreAction::Stats => {
             let s = store.stats();
             match args.format {
-                Format::Json => emit(&store_stats_json(&s).pretty()),
+                Format::Json => {
+                    let mut sink = JsonSink::new("adds.store-stats/v1");
+                    visit_store(&mut sink, &s);
+                    emit(&sink.finish().pretty())
+                }
                 Format::Text => {
                     emit(&format!(
                         "store {dir}\n\
@@ -336,32 +341,6 @@ fn run_store(args: &args::Args) -> i32 {
             }
         }
     }
-}
-
-/// Byte-stable JSON rendering of a store snapshot (`adds.store-stats/v1`),
-/// field-for-field the server's `/v1/stats` `store` section.
-fn store_stats_json(s: &adds::store::StoreSnapshot) -> Json {
-    Json::obj([
-        ("schema", Json::str("adds.store-stats/v1")),
-        ("entries", Json::UInt(s.entries)),
-        ("pending", Json::UInt(s.pending)),
-        ("segments", Json::UInt(s.segments)),
-        ("live_bytes", Json::UInt(s.live_bytes)),
-        ("gets", Json::UInt(s.gets)),
-        ("hits", Json::UInt(s.hits)),
-        ("misses", Json::UInt(s.misses)),
-        ("puts", Json::UInt(s.puts)),
-        ("puts_ignored", Json::UInt(s.puts_ignored)),
-        ("commits", Json::UInt(s.commits)),
-        ("commit_failures", Json::UInt(s.commit_failures)),
-        ("committed_records", Json::UInt(s.committed_records)),
-        ("committed_bytes", Json::UInt(s.committed_bytes)),
-        ("recovered_records", Json::UInt(s.recovered_records)),
-        ("truncated_bytes", Json::UInt(s.truncated_bytes)),
-        ("quarantined_records", Json::UInt(s.quarantined_records)),
-        ("rotations", Json::UInt(s.rotations)),
-        ("compactions", Json::UInt(s.compactions)),
-    ])
 }
 
 /// `run` takes exactly one input; default is the built-in Barnes–Hut.

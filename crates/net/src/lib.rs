@@ -10,8 +10,9 @@
 //! * [`timer`] — a coarse timer wheel (fixed tick, fixed slot count) for
 //!   idle/read/write deadlines. Cancellation is lazy: entries carry a
 //!   connection generation and are dropped on expiry if stale.
-//! * [`stats`] — atomic counters surfaced by the embedding server
-//!   (accepted/rejected/open/poll wakeups/timer expirations/...).
+//! * [`stats`] — atomic counters and gauges surfaced by the embedding
+//!   server (accepted/rejected, open and keep-alive connections, poll
+//!   wakeups, timer expirations, ...).
 //! * [`reactor`] — the event loop itself: single acceptor with an explicit
 //!   connection budget (over-budget connections get the protocol's busy
 //!   response instead of languishing in the accept queue), per-connection

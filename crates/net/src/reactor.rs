@@ -27,12 +27,18 @@
 //!   ordering without any per-connection queueing of replies.
 //! * A partial frame is not re-framed on every read: the connection keeps
 //!   the protocol's last `Framed::Incomplete` `need` and offers the buffer
-//!   again only once that many bytes are buffered, so framing work is
-//!   linear in the bytes received.
-//! * Reads are backpressured: once the buffer holds `max_frame_bytes` (only
-//!   possible while a frame is executing — `Protocol::frame` must resolve
-//!   any buffer that large), the socket is deregistered from `POLLIN` until
-//!   the response drains the buffer below the cap.
+//!   again only once that many bytes are buffered, handing back the
+//!   `scanned` length the protocol reported, so framing work is linear in
+//!   the bytes received.
+//! * Framed bytes are not moved out of the read buffer one request at a
+//!   time: a consumed offset advances instead, and the buffer is compacted
+//!   only once that offset passes half of it, so requests pipelined ahead
+//!   of a large body do not each copy it.
+//! * Reads are backpressured: once the buffer holds `max_frame_bytes`
+//!   unframed bytes (only possible while a frame is executing —
+//!   `Protocol::frame` must resolve any buffer that large), the socket is
+//!   deregistered from `POLLIN` until the response drains the buffer below
+//!   the cap.
 //! * Every armed deadline lives in the timer wheel as `(token, generation)`;
 //!   expiry is validated against both the generation and the currently armed
 //!   deadline, so re-arming and connection reuse never fire stale timers.
@@ -53,9 +59,10 @@ pub enum Framed<F> {
     /// below which framing cannot succeed: the reactor does not offer the
     /// buffer to [`Protocol::frame`] again until that many bytes are
     /// buffered. A `need` at or below the current length means "one more
-    /// byte".
-    Incomplete { need: usize },
-    /// A complete frame: `consumed` bytes are drained from the buffer.
+    /// byte". `scanned` is handed back to the next `frame` call for this
+    /// frame (e.g. how far a delimiter search got without a match).
+    Incomplete { need: usize, scanned: usize },
+    /// A complete frame of the first `consumed` bytes of the buffer.
     Frame { consumed: usize, frame: F },
     /// The bytes are unsalvageable. `response` is written, then the
     /// connection closes. The whole buffer is considered consumed.
@@ -75,13 +82,15 @@ pub trait Protocol: Send + Sync + 'static {
     type Frame: Send + 'static;
 
     /// Try to frame one request from `buf`. `served` counts requests already
-    /// framed on this connection (0 for the first). An exact
-    /// [`Framed::Incomplete`] `need` (e.g. head plus declared body length)
-    /// keeps framing linear in the bytes received: a body arriving in many
-    /// reads is framed once, when its last byte lands. `need` must not
-    /// exceed [`ReactorOptions::max_frame_bytes`], or the connection stalls
-    /// until its read deadline.
-    fn frame(&self, buf: &[u8], served: usize) -> Framed<Self::Frame>;
+    /// framed on this connection (0 for the first). `scanned` is 0 for a
+    /// new frame and otherwise the last [`Framed::Incomplete`] `scanned`
+    /// for it, so a delimiter search can resume where it stopped. An exact
+    /// `need` (e.g. head plus declared body length) keeps framing linear
+    /// in the bytes received: a body arriving in many reads is framed
+    /// once, when its last byte lands. `need` must not exceed
+    /// [`ReactorOptions::max_frame_bytes`], or the connection stalls until
+    /// its read deadline.
+    fn frame(&self, buf: &[u8], served: usize, scanned: usize) -> Framed<Self::Frame>;
 
     /// Execute a frame. Runs on a worker thread. `served` is the 1-based
     /// index of this request on its connection.
@@ -109,13 +118,6 @@ pub trait Protocol: Send + Sync + 'static {
     fn eof_response(&self, _buf: &[u8], _served: usize) -> Option<Vec<u8>> {
         None
     }
-
-    /// A connection was accepted into the reactor.
-    fn on_open(&self) {}
-    /// A connection completed its first keep-alive response.
-    fn on_keepalive(&self) {}
-    /// A connection closed; `was_keepalive` mirrors `on_keepalive`.
-    fn on_close(&self, _was_keepalive: bool) {}
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -209,10 +211,14 @@ enum DeadlineKind {
 struct Conn {
     stream: TcpStream,
     gen: u64,
+    /// Bytes read; the first `consumed` of them are already framed.
     read_buf: Vec<u8>,
-    /// `read_buf` length below which `Protocol::frame` is not called (the
+    consumed: usize,
+    /// Unframed length below which `Protocol::frame` is not called (the
     /// last `Framed::Incomplete::need`; 1 between requests).
     need: usize,
+    /// The last `Framed::Incomplete::scanned` (0 between requests).
+    scanned: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     served: usize,
@@ -224,6 +230,27 @@ struct Conn {
     /// Bytes moved since the deadline was last armed. Idle/write deadlines
     /// refresh on progress; spurious wakeups must not refresh anything.
     activity: bool,
+}
+
+impl Conn {
+    /// The bytes read and not yet framed.
+    fn unframed(&self) -> &[u8] {
+        &self.read_buf[self.consumed..]
+    }
+
+    /// Mark `n` more bytes framed. The buffer is cleared once everything
+    /// is framed and compacted once the framed prefix passes half of it,
+    /// so each byte moves at most once per doubling.
+    fn consume(&mut self, n: usize) {
+        self.consumed += n;
+        if self.consumed == self.read_buf.len() {
+            self.read_buf.clear();
+            self.consumed = 0;
+        } else if self.consumed > self.read_buf.len() / 2 {
+            self.read_buf.drain(..self.consumed);
+            self.consumed = 0;
+        }
+    }
 }
 
 struct Job<F> {
@@ -371,7 +398,7 @@ impl<P: Protocol> Reactor<P> {
             for (token, conn) in self.conns.iter().enumerate() {
                 let Some(c) = conn else { continue };
                 let mut events = 0i16;
-                if !c.read_closed && c.read_buf.len() < self.opts.max_frame_bytes {
+                if !c.read_closed && c.unframed().len() < self.opts.max_frame_bytes {
                     events |= POLLIN;
                 }
                 if c.write_pos < c.write_buf.len() {
@@ -478,7 +505,6 @@ impl<P: Protocol> Reactor<P> {
             let _ = stream.set_nodelay(true);
             self.stats.accepted.fetch_add(1, Ordering::Relaxed);
             self.stats.open.fetch_add(1, Ordering::Relaxed);
-            self.proto.on_open();
 
             let gen = self.next_gen;
             self.next_gen += 1;
@@ -486,7 +512,9 @@ impl<P: Protocol> Reactor<P> {
                 stream,
                 gen,
                 read_buf: Vec::new(),
+                consumed: 0,
                 need: 1,
+                scanned: 0,
                 write_buf: Vec::new(),
                 write_pos: 0,
                 served: 0,
@@ -521,7 +549,7 @@ impl<P: Protocol> Reactor<P> {
                 return;
             };
             loop {
-                if conn.read_buf.len() >= self.opts.max_frame_bytes {
+                if conn.unframed().len() >= self.opts.max_frame_bytes {
                     break; // backpressure; POLLIN deregistered next loop
                 }
                 match (&conn.stream).read(scratch) {
@@ -560,25 +588,29 @@ impl<P: Protocol> Reactor<P> {
             if conn.executing || conn.close_after_write {
                 break;
             }
-            let framed = if conn.read_buf.len() < conn.need {
-                Framed::Incomplete { need: conn.need }
+            let framed = if conn.unframed().len() < conn.need {
+                Framed::Incomplete {
+                    need: conn.need,
+                    scanned: conn.scanned,
+                }
             } else {
-                self.proto.frame(&conn.read_buf, conn.served)
+                self.proto.frame(conn.unframed(), conn.served, conn.scanned)
             };
             match framed {
-                Framed::Incomplete { need } => {
+                Framed::Incomplete { need, scanned } => {
                     // This buffer cannot frame, whatever `need` says, so
                     // at least one more byte must arrive first.
-                    conn.need = need.max(conn.read_buf.len() + 1);
+                    conn.need = need.max(conn.unframed().len() + 1);
+                    conn.scanned = scanned;
                     if conn.read_closed {
-                        if conn.read_buf.is_empty() {
+                        if conn.unframed().is_empty() {
                             self.close(token);
                             return;
                         }
                         // Peer hung up mid-request: give the protocol a
                         // chance to answer (e.g. HTTP's 400).
-                        let resp = self.proto.eof_response(&conn.read_buf, conn.served);
-                        conn.read_buf.clear();
+                        let resp = self.proto.eof_response(conn.unframed(), conn.served);
+                        conn.consume(conn.unframed().len());
                         if let Some(bytes) = resp {
                             conn.write_buf.extend_from_slice(&bytes);
                         }
@@ -587,8 +619,9 @@ impl<P: Protocol> Reactor<P> {
                     break;
                 }
                 Framed::Frame { consumed, frame } => {
-                    conn.read_buf.drain(..consumed);
+                    conn.consume(consumed);
                     conn.need = 1;
+                    conn.scanned = 0;
                     conn.served += 1;
                     let (served, gen) = (conn.served, conn.gen);
                     match self.proto.try_inline(frame, served) {
@@ -614,7 +647,7 @@ impl<P: Protocol> Reactor<P> {
                     }
                 }
                 Framed::Reject { response } => {
-                    conn.read_buf.clear();
+                    conn.consume(conn.unframed().len());
                     conn.write_buf.extend_from_slice(&response);
                     conn.close_after_write = true;
                 }
@@ -631,7 +664,6 @@ impl<P: Protocol> Reactor<P> {
     /// state: close, keep framing pipelined input, or go idle.
     fn flush(&mut self, token: usize, start: Instant) {
         let mut closed = false;
-        let mut wrote_keepalive_response = false;
         {
             let Some(conn) = self.conns[token].as_mut() else {
                 return;
@@ -661,12 +693,9 @@ impl<P: Protocol> Reactor<P> {
                     closed = true;
                 } else if conn.served > 0 && !conn.entered_keepalive {
                     conn.entered_keepalive = true;
-                    wrote_keepalive_response = true;
+                    self.stats.keepalive.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-        if wrote_keepalive_response {
-            self.proto.on_keepalive();
         }
         if closed {
             self.close(token);
@@ -686,7 +715,7 @@ impl<P: Protocol> Reactor<P> {
             (
                 conn.executing,
                 conn.write_pos < conn.write_buf.len(),
-                conn.read_buf.len(),
+                conn.unframed().len(),
                 conn.read_closed,
                 conn.close_after_write,
             )
@@ -730,7 +759,7 @@ impl<P: Protocol> Reactor<P> {
         let Some(conn) = self.conns[token].as_ref() else {
             return;
         };
-        if conn.read_buf.len() >= conn.need || conn.read_closed {
+        if conn.unframed().len() >= conn.need || conn.read_closed {
             self.pump(token, start); // also handles the mid-request EOF path
         } else {
             self.arm(token, start, DeadlineKind::Read);
@@ -768,7 +797,7 @@ impl<P: Protocol> Reactor<P> {
         self.stats.timer_expirations.fetch_add(1, Ordering::Relaxed);
         let mid_request = {
             let conn = self.conns[e.token].as_ref().unwrap();
-            kind == DeadlineKind::Read && !conn.read_buf.is_empty()
+            kind == DeadlineKind::Read && !conn.unframed().is_empty()
         };
         if mid_request {
             if let Some(bytes) = self.proto.timeout_response() {
@@ -823,7 +852,9 @@ impl<P: Protocol> Reactor<P> {
         self.free.push(token);
         self.live -= 1;
         self.stats.open.fetch_sub(1, Ordering::Relaxed);
-        self.proto.on_close(conn.entered_keepalive);
+        if conn.entered_keepalive {
+            self.stats.keepalive.fetch_sub(1, Ordering::Relaxed);
+        }
         // Drop closes the socket; an executing frame for this gen may still
         // complete later and is discarded by the gen check.
     }

@@ -12,6 +12,9 @@ pub struct NetStats {
     pub rejected: AtomicU64,
     /// Currently open connections owned by the reactor.
     pub open: AtomicI64,
+    /// Currently open connections that have completed a keep-alive
+    /// response (parked between requests, or serving a later one).
+    pub keepalive: AtomicI64,
     /// Times the poll loop woke up (readiness, waker, or tick timeout).
     pub poll_wakeups: AtomicU64,
     /// Connection deadlines that actually fired (idle/header/write).
@@ -28,6 +31,7 @@ impl NetStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             open: self.open.load(Ordering::Relaxed).max(0) as u64,
+            keepalive: self.keepalive.load(Ordering::Relaxed).max(0) as u64,
             poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
             timer_expirations: self.timer_expirations.load(Ordering::Relaxed),
             dispatched: self.dispatched.load(Ordering::Relaxed),
@@ -42,6 +46,7 @@ pub struct NetSnapshot {
     pub accepted: u64,
     pub rejected: u64,
     pub open: u64,
+    pub keepalive: u64,
     pub poll_wakeups: u64,
     pub timer_expirations: u64,
     pub dispatched: u64,

@@ -18,10 +18,11 @@ struct LineProto;
 impl Protocol for LineProto {
     type Frame = String;
 
-    fn frame(&self, buf: &[u8], _served: usize) -> Framed<String> {
+    fn frame(&self, buf: &[u8], _served: usize, _scanned: usize) -> Framed<String> {
         match buf.iter().position(|&b| b == b'\n') {
             None => Framed::Incomplete {
                 need: buf.len() + 1,
+                scanned: 0,
             },
             Some(i) => {
                 let line = String::from_utf8_lossy(&buf[..i]).into_owned();
@@ -111,18 +112,22 @@ struct CountingProto {
 impl Protocol for CountingProto {
     type Frame = usize;
 
-    fn frame(&self, buf: &[u8], _served: usize) -> Framed<usize> {
+    fn frame(&self, buf: &[u8], _served: usize, _scanned: usize) -> Framed<usize> {
         self.frame_calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_offered.fetch_add(buf.len(), Ordering::Relaxed);
         let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
             return Framed::Incomplete {
                 need: buf.len() + 1,
+                scanned: 0,
             };
         };
         let len: usize = String::from_utf8_lossy(&buf[..nl]).parse().unwrap();
         let consumed = nl + 1 + len;
         if buf.len() < consumed {
-            return Framed::Incomplete { need: consumed };
+            return Framed::Incomplete {
+                need: consumed,
+                scanned: 0,
+            };
         }
         Framed::Frame {
             consumed,

@@ -9,11 +9,13 @@
 //!   with timestamps in microseconds since a global monotonic epoch.
 //!   Snapshots render as Chrome `trace_event` JSON (`adds.trace/v1`)
 //!   viewable in `chrome://tracing` or Perfetto.
-//! * [`metrics`] — atomic [`Counter`](metrics::Counter)s,
-//!   [`Gauge`](metrics::Gauge)s, and fixed-bucket log₂-scale
-//!   [`Histogram`](metrics::Histogram)s from which p50/p90/p99 are
-//!   derivable without locks, plus helpers that render them in the
-//!   Prometheus text exposition format (`adds.metrics/v1`).
+//! * [`metrics`] — atomic [`Counter`](metrics::Counter)s and fixed-bucket
+//!   log₂-scale [`Histogram`](metrics::Histogram)s from which p50/p90/p99 are
+//!   derivable without locks, plus helpers that render one sample or one
+//!   histogram series in the Prometheus text exposition format. Which
+//!   metrics a server exports, under which names, is declared once in
+//!   `adds-serve`, whose sinks render it as `/v1/stats` and as the
+//!   `adds.metrics/v2` text of `/v1/metrics`.
 //!
 //! Everything here is deliberately below the rest of the workspace in
 //! the dependency graph: `adds-obs` depends only on `std`, so the

@@ -1,5 +1,5 @@
-//! Lock-free metric primitives: counters, gauges, and log₂-scale
-//! histograms, with a Prometheus text rendering.
+//! Lock-free metric primitives: counters and log₂-scale histograms, with
+//! a Prometheus text rendering.
 //!
 //! The histogram uses [`HISTOGRAM_BUCKETS`] fixed power-of-two buckets:
 //! bucket 0 holds the value `0`, bucket *i* (for `i ≥ 1`) holds values in
@@ -10,7 +10,7 @@
 //! array without taking any lock and are exact to within one bucket
 //! width (the property the `histogram_props` tests pin down).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log₂ buckets in a [`Histogram`].
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -37,32 +37,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed up/down gauge (relaxed atomic).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Subtract one.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -230,16 +204,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_count() {
+    fn counters_count() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
     }
 
     #[test]

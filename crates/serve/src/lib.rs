@@ -8,6 +8,8 @@
 //! * [`http`] — a minimal HTTP/1.1 request reader and response serializer,
 //!   with opt-in keep-alive.
 //! * [`logging`] — the structured access-log line (`serve --log`).
+//! * [`metrics`] — the sinks that render the server's one metric walk as
+//!   the `/v1/stats` document and the `/v1/metrics` Prometheus text.
 //! * [`server`] — the `adds-cli serve` engine: the `adds-net` `poll(2)`
 //!   reactor with a `--jobs` worker pool, routing
 //!   `POST /v1/{analyze,parallelize,run,check,parse,batch}`,
@@ -29,4 +31,5 @@
 pub mod corpus;
 pub mod http;
 pub mod logging;
+pub mod metrics;
 pub mod server;

@@ -24,8 +24,8 @@
 //! | `GET /v1/report/{sha256}` | — | cached stage document or 404 |
 //! | `GET /v1/corpus` | — | built-in program list |
 //! | `GET /v1/corpus/{name}` | — | built-in program source (text) |
-//! | `GET /v1/stats` | — | `adds.serve-stats/v6` counters + latency |
-//! | `GET /v1/metrics` | — | Prometheus text (`adds.metrics/v1`) |
+//! | `GET /v1/stats` | — | `adds.serve-stats/v7` counters, gauges + latency quantiles |
+//! | `GET /v1/metrics` | — | the same metrics as Prometheus text (`adds.metrics/v2`) |
 //! | `GET /v1/trace` | — | `adds.trace/v1` buffered spans (needs `--trace`) |
 //! | `GET /healthz` | — | `ok` |
 //!
@@ -71,9 +71,10 @@ use crate::http::{
     KEEPALIVE_IDLE_TIMEOUT, KEEPALIVE_MAX_REQUESTS, MAX_BODY_BYTES, MAX_HEADER_BYTES,
 };
 use crate::logging;
+use crate::metrics::{visit_store, JsonSink, PromSink, Sink, Value};
 use adds_net::reactor::{Framed, Protocol, Reactor, ReactorOptions, Reply, StopHandle};
 use adds_net::stats::NetStats;
-use adds_obs::metrics::{prom_counter, prom_gauge, prom_histogram, Counter, Gauge, Histogram};
+use adds_obs::metrics::{Counter, Histogram};
 use adds_obs::trace;
 use adds_query::json::Json;
 use adds_query::runner::RunOptions;
@@ -105,9 +106,10 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Emit one structured JSON access-log line per request on stdout.
     pub log: bool,
-    /// Record metrics (latency histograms, gauges) and, when tracing is
-    /// on, spans. Default `true`; the bench driver's "bare" mode turns it
-    /// off to measure instrumentation overhead.
+    /// Record the per-route latency histograms and the request-body byte
+    /// counter and, when tracing is on, spans. Default `true`; the bench
+    /// driver's "bare" mode turns it off to measure instrumentation
+    /// overhead. Counters and gauges are recorded either way.
     pub instrument: bool,
     /// Write a Chrome `trace_event` JSON file here on shutdown
     /// (`serve --trace out.json`); enables span recording.
@@ -240,17 +242,13 @@ impl Route {
     }
 }
 
-/// Per-route latency histograms plus connection gauges — the
-/// `GET /v1/metrics` backing store. All lock-free.
+/// The metrics [`ServeOptions::instrument`] turns off: per-route latency
+/// histograms and the request-body byte counter. All lock-free.
 pub struct ServeMetrics {
     /// Request latency (µs) per route, indexed by `Route as usize`.
     pub route_latency: [Histogram; Route::COUNT],
     /// Total request body bytes read.
     pub bytes_in: Counter,
-    /// Connections currently open.
-    pub open_connections: Gauge,
-    /// Connections currently parked in (or serving) keep-alive reuse.
-    pub keepalive_connections: Gauge,
 }
 
 impl Default for ServeMetrics {
@@ -258,8 +256,6 @@ impl Default for ServeMetrics {
         ServeMetrics {
             route_latency: std::array::from_fn(|_| Histogram::new()),
             bytes_in: Counter::new(),
-            open_connections: Gauge::new(),
-            keepalive_connections: Gauge::new(),
         }
     }
 }
@@ -272,11 +268,11 @@ pub struct ServerState {
     /// Per-route request counters (`/v1/stats` `requests`,
     /// `adds_requests_total`), indexed by `Route as usize`.
     pub requests: [AtomicU64; Route::COUNT],
-    /// Latency histograms and connection gauges (`/v1/metrics`).
+    /// Latency histograms and the request-body byte counter.
     pub metrics: ServeMetrics,
     /// Emit access-log lines (`serve --log`).
     pub log_requests: bool,
-    /// Record latency/gauges and (when tracing) spans; off in the bench
+    /// Record [`ServeMetrics`] and (when tracing) spans; off in the bench
     /// driver's bare mode.
     pub instrument: bool,
     /// Event-loop counters (`/v1/stats` `net` section, `adds_net_*`
@@ -366,380 +362,128 @@ impl ServerState {
         }
     }
 
-    /// The `/v1/stats` document (`adds.serve-stats/v6`): request-level
-    /// cache counters, per-query-layer compute counters, per-endpoint
-    /// request counts, latency quantiles (per route and per query layer,
-    /// derived from the lock-free log₂ histograms), parallel-executor
-    /// counters, connection gauges, event-loop counters, and the
-    /// persistent store's counters. No timestamps — the document is a
-    /// pure function of the counters, so tests can golden it. (`/v2`
-    /// added `queries.dropped`, `latency`, and `connections` to the `/v1`
-    /// shape; `/v3` added `parallel`; `/v4` added `cache.disk_hits` and
-    /// the `store` section; `/v5` added the `net` section for the
-    /// event-driven engine; `/v6` dropped `net.engine`, since the reactor
-    /// is the only engine.)
-    pub fn stats_doc(&self) -> Json {
-        let cs = self.service.stats();
-        let u = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
-        Json::obj([
-            ("schema", Json::str("adds.serve-stats/v6")),
-            (
-                "cache",
-                Json::obj([
-                    ("hits", u(&cs.hits)),
-                    ("misses", u(&cs.misses)),
-                    ("coalesced", u(&cs.coalesced)),
-                    ("disk_hits", u(&cs.disk_hits)),
-                    ("in_flight", u(&cs.in_flight)),
-                    ("evicted", u(&cs.evicted)),
-                    ("entries", Json::UInt(self.service.entries() as u64)),
-                ]),
-            ),
-            (
-                "queries",
-                Json::Obj(
-                    // Per-layer compute counts, then the artifact caches'
-                    // own entry/hit/miss/eviction counters — with
-                    // `--cache-cap`, the memory-heavy artifacts (typed
-                    // programs, fixpoints, bytecode) evict here, not in
-                    // the report-level `cache` section above.
-                    self.service
-                        .query_computes()
-                        .into_iter()
-                        .map(|(name, n)| (name.to_string(), Json::UInt(n)))
-                        .chain({
-                            let qs = self.service.query_stats();
-                            [
-                                (
-                                    "entries".to_string(),
-                                    Json::UInt(self.service.db().artifact_entries() as u64),
-                                ),
-                                ("hits".to_string(), u(&qs.hits)),
-                                ("misses".to_string(), u(&qs.misses)),
-                                ("evicted".to_string(), u(&qs.evicted)),
-                                (
-                                    "dropped".to_string(),
-                                    Json::UInt(self.service.db().dropped_digest_entries()),
-                                ),
-                            ]
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "requests",
-                Json::Obj(
-                    Route::ALL
-                        .iter()
-                        .map(|&r| (r.name().to_string(), u(&self.requests[r as usize])))
-                        .collect(),
-                ),
-            ),
-            (
-                "latency",
-                Json::obj([
-                    (
-                        "routes",
-                        Json::Obj(
-                            Route::ALL
-                                .iter()
-                                .map(|&r| {
-                                    (
-                                        r.name().to_string(),
-                                        latency_summary(&self.metrics.route_latency[r as usize]),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "layers",
-                        Json::Obj(
-                            QueryKind::ALL
-                                .iter()
-                                .map(|&k| {
-                                    (
-                                        k.name().to_string(),
-                                        latency_summary(self.service.db().layer_duration(k)),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("parallel", {
-                let par = self.service.par_stats();
-                let qs = self.service.query_stats();
-                let ut = par.utilization();
-                Json::obj([
-                    // The *configured* budget (0 = one per core), not
-                    // the resolved count: the document must stay a
-                    // pure function of the counters, host-independent,
-                    // so the golden test can pin it.
-                    ("jobs", Json::UInt(self.service.jobs() as u64)),
-                    ("fanouts", Json::UInt(par.fanouts())),
-                    ("inline", Json::UInt(par.inline_runs())),
-                    ("tasks", Json::UInt(par.tasks())),
-                    ("steals", Json::UInt(par.steals())),
-                    // Single-flight coalescing across both cache
-                    // banks: concurrent duplicate demands that shared
-                    // one compute instead of racing.
-                    (
-                        "coalesced_flights",
-                        Json::UInt(
-                            qs.coalesced.load(Ordering::Relaxed)
-                                + cs.coalesced.load(Ordering::Relaxed),
-                        ),
-                    ),
-                    (
-                        "utilization_pct",
-                        Json::obj([
-                            ("count", Json::UInt(ut.count())),
-                            ("p50", Json::UInt(ut.quantile(0.5))),
-                            ("p90", Json::UInt(ut.quantile(0.9))),
-                            ("p99", Json::UInt(ut.quantile(0.99))),
-                        ]),
-                    ),
-                ])
-            }),
-            (
-                "connections",
-                Json::obj([
-                    ("open", Json::Int(self.metrics.open_connections.get())),
-                    (
-                        "keepalive",
-                        Json::Int(self.metrics.keepalive_connections.get()),
-                    ),
-                ]),
-            ),
-            ("net", {
-                let n = self.net.snapshot();
-                Json::obj([
-                    ("open", Json::UInt(n.open)),
-                    ("accepted", Json::UInt(n.accepted)),
-                    ("rejected", Json::UInt(n.rejected)),
-                    ("dispatched", Json::UInt(n.dispatched)),
-                    ("inline", Json::UInt(n.inline_served)),
-                    ("poll_wakeups", Json::UInt(n.poll_wakeups)),
-                    ("timer_expirations", Json::UInt(n.timer_expirations)),
-                ])
-            }),
-            ("store", self.store_doc()),
-        ])
-    }
-
-    /// The `store` section of `/v1/stats`: the persistent tier's counter
-    /// snapshot, or `{"enabled": false}` when the server runs without
-    /// `--store` — present either way so the document shape is stable.
-    fn store_doc(&self) -> Json {
-        let Some(store) = self.service.db().store() else {
-            return Json::obj([("enabled", Json::Bool(false))]);
-        };
-        let s = store.stats();
-        Json::obj([
-            ("enabled", Json::Bool(true)),
-            ("entries", Json::UInt(s.entries)),
-            ("pending", Json::UInt(s.pending)),
-            ("segments", Json::UInt(s.segments)),
-            ("live_bytes", Json::UInt(s.live_bytes)),
-            ("gets", Json::UInt(s.gets)),
-            ("hits", Json::UInt(s.hits)),
-            ("misses", Json::UInt(s.misses)),
-            ("puts", Json::UInt(s.puts)),
-            ("puts_ignored", Json::UInt(s.puts_ignored)),
-            ("commits", Json::UInt(s.commits)),
-            ("commit_failures", Json::UInt(s.commit_failures)),
-            ("committed_records", Json::UInt(s.committed_records)),
-            ("committed_bytes", Json::UInt(s.committed_bytes)),
-            ("recovered_records", Json::UInt(s.recovered_records)),
-            ("truncated_bytes", Json::UInt(s.truncated_bytes)),
-            ("quarantined_records", Json::UInt(s.quarantined_records)),
-            ("rotations", Json::UInt(s.rotations)),
-            ("compactions", Json::UInt(s.compactions)),
-        ])
-    }
-
-    /// The `GET /v1/metrics` body: Prometheus text exposition, headed by
-    /// a `# adds.metrics/v1` schema comment. Counters mirror `/v1/stats`;
-    /// the histograms add full per-route and per-query-layer latency
-    /// distributions (log₂ buckets, µs).
-    pub fn metrics_text(&self) -> String {
-        let cs = self.service.stats();
-        let qs = self.service.query_stats();
+    /// Visit every server metric once, in `/v1/stats` order: the report
+    /// cache, the query layers, requests, latency, the parallel executor,
+    /// the reactor, and the persistent store (`{"enabled": false}` alone
+    /// without `--store`). [`Self::stats_doc`] and [`Self::metrics_text`]
+    /// render this one walk; see [`crate::metrics`] for how each metric
+    /// is named.
+    pub fn visit_metrics(&self, sink: &mut impl Sink) {
+        use Value::{Counter, Gauge, Histogram};
         let a = |x: &AtomicU64| x.load(Ordering::Relaxed);
-        let mut out = String::from("# adds.metrics/v1\n");
+        let (svc, db) = (&self.service, self.service.db());
+        let (cs, qs, par) = (svc.stats(), svc.query_stats(), svc.par_stats());
 
-        out.push_str("# TYPE adds_requests_total counter\n");
-        for &route in Route::ALL {
-            let label = format!("route=\"{}\"", route.name());
-            let n = a(&self.requests[route as usize]);
-            prom_counter(&mut out, "adds_requests_total", &label, n);
-        }
-        prom_counter(
-            &mut out,
-            "adds_request_body_bytes_total",
-            "",
-            self.metrics.bytes_in.get(),
-        );
+        sink.enter("cache", "adds_cache_");
+        sink.metrics([
+            ("hits", Counter(a(&cs.hits))),
+            ("misses", Counter(a(&cs.misses))),
+            ("coalesced", Counter(a(&cs.coalesced))),
+            ("disk_hits", Counter(a(&cs.disk_hits))),
+            ("in_flight", Gauge(a(&cs.in_flight))),
+            ("evicted", Counter(a(&cs.evicted))),
+            ("entries", Gauge(svc.entries() as u64)),
+        ]);
+        sink.leave();
 
-        out.push_str("# TYPE adds_cache_hits_total counter\n");
-        prom_counter(&mut out, "adds_cache_hits_total", "", a(&cs.hits));
-        prom_counter(&mut out, "adds_cache_misses_total", "", a(&cs.misses));
-        prom_counter(&mut out, "adds_cache_coalesced_total", "", a(&cs.coalesced));
-        prom_counter(&mut out, "adds_cache_disk_hits_total", "", a(&cs.disk_hits));
-        prom_counter(&mut out, "adds_cache_evicted_total", "", a(&cs.evicted));
-        prom_gauge(
-            &mut out,
-            "adds_cache_entries",
-            "",
-            self.service.entries() as i64,
-        );
+        // Per-layer compute counts, then the artifact caches' own
+        // counters: with `--cache-cap`, the memory-heavy artifacts (typed
+        // programs, fixpoints, bytecode) evict here, not in `cache`.
+        sink.enter("queries", "adds_query_");
+        let computes = svc.query_computes();
+        let computes = computes.iter().map(|&(layer, n)| (layer, Counter(n)));
+        sink.family("adds_query_computes_total", "layer", computes);
+        sink.metrics([
+            ("entries", Gauge(db.artifact_entries() as u64)),
+            ("hits", Counter(a(&qs.hits))),
+            ("misses", Counter(a(&qs.misses))),
+            ("evicted", Counter(a(&qs.evicted))),
+            ("dropped", Counter(db.dropped_digest_entries())),
+        ]);
+        sink.leave();
 
-        out.push_str("# TYPE adds_query_computes_total counter\n");
-        for (name, n) in self.service.query_computes() {
-            let label = format!("layer=\"{name}\"");
-            prom_counter(&mut out, "adds_query_computes_total", &label, n);
-        }
-        prom_counter(&mut out, "adds_query_cache_hits_total", "", a(&qs.hits));
-        prom_counter(&mut out, "adds_query_cache_misses_total", "", a(&qs.misses));
-        prom_counter(
-            &mut out,
-            "adds_query_cache_evicted_total",
-            "",
-            a(&qs.evicted),
-        );
-        prom_counter(
-            &mut out,
-            "adds_query_dropped_digests_total",
-            "",
-            self.service.db().dropped_digest_entries(),
-        );
-        prom_gauge(
-            &mut out,
-            "adds_query_artifact_entries",
-            "",
-            self.service.db().artifact_entries() as i64,
-        );
+        sink.enter("requests", "adds_request_");
+        let counts = Route::ALL
+            .iter()
+            .map(|&r| (r.name(), Counter(a(&self.requests[r as usize]))));
+        sink.family("adds_requests_total", "route", counts);
+        sink.metrics([("body_bytes", Counter(self.metrics.bytes_in.get()))]);
+        sink.leave();
 
-        let par = self.service.par_stats();
-        out.push_str("# TYPE adds_par_tasks_total counter\n");
-        prom_counter(&mut out, "adds_par_fanouts_total", "", par.fanouts());
-        prom_counter(&mut out, "adds_par_inline_total", "", par.inline_runs());
-        prom_counter(&mut out, "adds_par_tasks_total", "", par.tasks());
-        prom_counter(&mut out, "adds_par_steals_total", "", par.steals());
-        prom_counter(
-            &mut out,
-            "adds_par_coalesced_flights_total",
-            "",
-            a(&qs.coalesced) + a(&cs.coalesced),
-        );
+        sink.enter("latency", "");
+        sink.enter("routes", "");
+        let routes = Route::ALL.iter().map(|&r| {
+            (
+                r.name(),
+                Histogram(&self.metrics.route_latency[r as usize], "_us"),
+            )
+        });
+        sink.family("adds_request_duration_us", "route", routes);
+        sink.leave();
+        sink.enter("layers", "");
+        let layers = QueryKind::ALL
+            .iter()
+            .map(|&k| (k.name(), Histogram(db.layer_duration(k), "_us")));
+        sink.family("adds_query_duration_us", "layer", layers);
+        sink.leave();
+        sink.leave();
 
-        out.push_str("# TYPE adds_par_worker_utilization_pct histogram\n");
-        prom_histogram(
-            &mut out,
-            "adds_par_worker_utilization_pct",
-            "",
-            par.utilization(),
-        );
-
-        out.push_str("# TYPE adds_request_duration_us histogram\n");
-        for &route in Route::ALL {
-            let label = format!("route=\"{}\"", route.name());
-            prom_histogram(
-                &mut out,
-                "adds_request_duration_us",
-                &label,
-                &self.metrics.route_latency[route as usize],
-            );
-        }
-
-        out.push_str("# TYPE adds_query_duration_us histogram\n");
-        for &kind in QueryKind::ALL {
-            let label = format!("layer=\"{}\"", kind.name());
-            prom_histogram(
-                &mut out,
-                "adds_query_duration_us",
-                &label,
-                self.service.db().layer_duration(kind),
-            );
-        }
-
-        out.push_str("# TYPE adds_connections_open gauge\n");
-        prom_gauge(
-            &mut out,
-            "adds_connections_open",
-            "",
-            self.metrics.open_connections.get(),
-        );
-        prom_gauge(
-            &mut out,
-            "adds_connections_keepalive",
-            "",
-            self.metrics.keepalive_connections.get(),
-        );
+        sink.enter("parallel", "adds_par_");
+        sink.metrics([
+            // The *configured* budget (0 = one per core), not the resolved
+            // count, so the document stays host-independent.
+            ("jobs", Gauge(svc.jobs() as u64)),
+            ("fanouts", Counter(par.fanouts())),
+            ("inline", Counter(par.inline_runs())),
+            ("tasks", Counter(par.tasks())),
+            ("steals", Counter(par.steals())),
+            // Single-flight coalescing across both cache banks.
+            (
+                "coalesced_flights",
+                Counter(a(&qs.coalesced) + a(&cs.coalesced)),
+            ),
+            ("utilization_pct", Histogram(par.utilization(), "")),
+        ]);
+        sink.leave();
 
         let n = self.net.snapshot();
-        out.push_str("# TYPE adds_net_accepted_total counter\n");
-        prom_counter(&mut out, "adds_net_accepted_total", "", n.accepted);
-        prom_counter(&mut out, "adds_net_rejected_total", "", n.rejected);
-        prom_counter(&mut out, "adds_net_dispatched_total", "", n.dispatched);
-        prom_counter(&mut out, "adds_net_inline_total", "", n.inline_served);
-        prom_counter(&mut out, "adds_net_poll_wakeups_total", "", n.poll_wakeups);
-        prom_counter(
-            &mut out,
-            "adds_net_timer_expirations_total",
-            "",
-            n.timer_expirations,
-        );
-        out.push_str("# TYPE adds_net_open_connections gauge\n");
-        prom_gauge(&mut out, "adds_net_open_connections", "", n.open as i64);
+        sink.enter("net", "adds_net_");
+        sink.metrics([
+            ("open", Gauge(n.open)),
+            ("keepalive", Gauge(n.keepalive)),
+            ("accepted", Counter(n.accepted)),
+            ("rejected", Counter(n.rejected)),
+            ("dispatched", Counter(n.dispatched)),
+            ("inline", Counter(n.inline_served)),
+            ("poll_wakeups", Counter(n.poll_wakeups)),
+            ("timer_expirations", Counter(n.timer_expirations)),
+        ]);
+        sink.leave();
 
-        if let Some(store) = self.service.db().store() {
-            let s = store.stats();
-            out.push_str("# TYPE adds_store_entries gauge\n");
-            prom_gauge(&mut out, "adds_store_entries", "", s.entries as i64);
-            prom_gauge(&mut out, "adds_store_pending", "", s.pending as i64);
-            prom_gauge(&mut out, "adds_store_segments", "", s.segments as i64);
-            prom_gauge(&mut out, "adds_store_live_bytes", "", s.live_bytes as i64);
-            out.push_str("# TYPE adds_store_gets_total counter\n");
-            prom_counter(&mut out, "adds_store_gets_total", "", s.gets);
-            prom_counter(&mut out, "adds_store_hits_total", "", s.hits);
-            prom_counter(&mut out, "adds_store_misses_total", "", s.misses);
-            prom_counter(&mut out, "adds_store_puts_total", "", s.puts);
-            prom_counter(&mut out, "adds_store_commits_total", "", s.commits);
-            prom_counter(
-                &mut out,
-                "adds_store_commit_failures_total",
-                "",
-                s.commit_failures,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_committed_bytes_total",
-                "",
-                s.committed_bytes,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_recovered_records_total",
-                "",
-                s.recovered_records,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_truncated_bytes_total",
-                "",
-                s.truncated_bytes,
-            );
-            prom_counter(
-                &mut out,
-                "adds_store_quarantined_records_total",
-                "",
-                s.quarantined_records,
-            );
+        sink.enter("store", "adds_store_");
+        let store = db.store();
+        sink.metrics([("enabled", Value::Flag(store.is_some()))]);
+        if let Some(store) = store {
+            visit_store(sink, &store.stats());
         }
-        out
+        sink.leave();
+    }
+
+    /// The `/v1/stats` document, `adds.serve-stats/v7`: [`Self::visit_metrics`]
+    /// as JSON, with latency quantiles in place of histograms. No
+    /// timestamps, so tests can golden it.
+    pub fn stats_doc(&self) -> Json {
+        let mut sink = JsonSink::new("adds.serve-stats/v7");
+        self.visit_metrics(&mut sink);
+        sink.finish()
+    }
+
+    /// The `GET /v1/metrics` body, `adds.metrics/v2`:
+    /// [`Self::visit_metrics`] as Prometheus text exposition.
+    pub fn metrics_text(&self) -> String {
+        let mut sink = PromSink::new("adds.metrics/v2");
+        self.visit_metrics(&mut sink);
+        sink.finish()
     }
 
     fn stage_request(&self, stage: Stage, req: &Request) -> Response {
@@ -992,18 +736,6 @@ fn corpus_doc() -> Json {
     Json::obj([
         ("schema", Json::str("adds.corpus/v1")),
         ("programs", Json::Arr(programs)),
-    ])
-}
-
-/// A `{count, p50_us, p90_us, p99_us}` summary of one latency histogram
-/// (quantiles are log₂-bucket upper bounds — within one bucket width of
-/// the true value; 0 when empty).
-fn latency_summary(h: &Histogram) -> Json {
-    Json::obj([
-        ("count", Json::UInt(h.count())),
-        ("p50_us", Json::UInt(h.quantile(0.5))),
-        ("p90_us", Json::UInt(h.quantile(0.9))),
-        ("p99_us", Json::UInt(h.quantile(0.99))),
     ])
 }
 
@@ -1328,9 +1060,20 @@ fn spawn_flusher(
     }))
 }
 
-/// True once `buf` holds a complete header block (the blank line).
-fn headers_complete(buf: &[u8]) -> bool {
-    buf.windows(2).any(|w| w == b"\n\n") || buf.windows(3).any(|w| w == b"\n\r\n")
+/// True once `buf` holds a complete header block: a blank line, `\n\n` or
+/// `\n\r\n`. One pass, resumed at `scanned`, a prefix length already
+/// searched without a match, less the two bytes a split terminator can
+/// start in.
+fn head_complete(buf: &[u8], scanned: usize) -> bool {
+    let from = scanned.saturating_sub(2).min(buf.len());
+    let mut rest = &buf[from..];
+    while let Some(i) = rest.iter().position(|&b| b == b'\n') {
+        rest = &rest[i + 1..];
+        if rest.starts_with(b"\n") || rest.starts_with(b"\r\n") {
+            return true;
+        }
+    }
+    false
 }
 
 /// The HTTP glue between [`adds_net`]'s reactor and [`ServerState`]:
@@ -1364,13 +1107,17 @@ impl HttpProto {
 impl Protocol for HttpProto {
     type Frame = Request;
 
-    fn frame(&self, buf: &[u8], _served: usize) -> Framed<Request> {
+    fn frame(&self, buf: &[u8], _served: usize, scanned: usize) -> Framed<Request> {
         // Wait for the full header block (or an oversized one — the
         // parser rejects those): end-of-slice inside the headers would
-        // otherwise read as the connection closing mid-request.
-        if !headers_complete(buf) && buf.len() < MAX_HEADER_BYTES {
+        // otherwise read as the connection closing mid-request. Only a
+        // buffer shorter than the head limit is searched, from where the
+        // last search stopped, so head work is linear and never touches
+        // the body.
+        if buf.len() < MAX_HEADER_BYTES && !head_complete(buf, scanned) {
             return Framed::Incomplete {
                 need: buf.len() + 1,
+                scanned: buf.len(),
             };
         }
         let parse_started = std::time::Instant::now();
@@ -1388,7 +1135,11 @@ impl Protocol for HttpProto {
         let head_len = buf.len() - rest.len();
         let consumed = head_len + head.content_length;
         let Some(body) = buf.get(head_len..consumed) else {
-            return Framed::Incomplete { need: consumed };
+            // The head is parsed again when the body is in.
+            return Framed::Incomplete {
+                need: consumed,
+                scanned: 0,
+            };
         };
         let req = head.into_request(body.to_vec());
         if self.state.instrument && trace::enabled() {
@@ -1489,27 +1240,6 @@ impl Protocol for HttpProto {
             Err(e) => Some(self.error_bytes(&e)),
         }
     }
-
-    fn on_open(&self) {
-        if self.state.instrument {
-            self.state.metrics.open_connections.inc();
-        }
-    }
-
-    fn on_keepalive(&self) {
-        if self.state.instrument {
-            self.state.metrics.keepalive_connections.inc();
-        }
-    }
-
-    fn on_close(&self, was_keepalive: bool) {
-        if self.state.instrument {
-            self.state.metrics.open_connections.dec();
-            if was_keepalive {
-                self.state.metrics.keepalive_connections.dec();
-            }
-        }
-    }
 }
 
 /// Write one access-log line to stdout (locked per line; errors dropped —
@@ -1588,22 +1318,25 @@ mod tests {
             state: Arc::new(ServerState::default()),
         };
         let head = b"POST /v1/parse?name=t.il HTTP/1.1\r\nContent-Length: 10\r\n\r\n";
-        // Inside the head: one more byte.
+        // Inside the head: one more byte, and the search stopped at the end.
         let partial = &head[..head.len() - 2];
-        match proto.frame(partial, 0) {
-            Framed::Incomplete { need } => assert_eq!(need, partial.len() + 1),
+        match proto.frame(partial, 0, 0) {
+            Framed::Incomplete { need, scanned } => {
+                assert_eq!(need, partial.len() + 1);
+                assert_eq!(scanned, partial.len());
+            }
             _ => panic!("a partial head must not frame"),
         }
         // Head complete, body partial: the head plus the declared body.
         let mut buf = head.to_vec();
         buf.extend_from_slice(b"type T");
-        match proto.frame(&buf, 0) {
-            Framed::Incomplete { need } => assert_eq!(need, head.len() + 10),
+        match proto.frame(&buf, 0, 0) {
+            Framed::Incomplete { need, .. } => assert_eq!(need, head.len() + 10),
             _ => panic!("a partial body must not frame"),
         }
         // The declared body plus a pipelined byte: exactly one request.
         buf.extend_from_slice(b" {}.G");
-        match proto.frame(&buf, 0) {
+        match proto.frame(&buf, 0, 0) {
             Framed::Frame { consumed, frame } => {
                 assert_eq!(consumed, head.len() + 10);
                 assert_eq!(frame.body, b"type T {}.");
@@ -1611,5 +1344,41 @@ mod tests {
             }
             _ => panic!("a complete request must frame"),
         }
+
+        // Both terminators, with no body or one holding blank lines, and
+        // the bytes arriving in two reads split at every offset, or one at
+        // a time: the head always ends at its own blank line.
+        let blank = "a\n\nb\r\n\r\nc";
+        for (eol, body) in [("\n", ""), ("\r\n", ""), ("\n", blank), ("\r\n", blank)] {
+            let len = body.len();
+            let req = format!("POST / HTTP/1.1{eol}Content-Length: {len}{eol}{eol}{body}");
+            let req = req.as_bytes();
+            let splits = (0..req.len()).map(|at| vec![at, req.len()]);
+            for reads in splits.chain([(1..=req.len()).collect()]) {
+                let frame = frame_reads(&proto, req, &reads);
+                assert_eq!(frame.body, body.as_bytes(), "{eol:?} at {reads:?}");
+            }
+        }
+    }
+
+    /// Frames `req` as the reactor does when it has buffered the first
+    /// `n` bytes for each `n` of `reads`: `frame` only once `need` is met,
+    /// with the last `scanned` handed back.
+    fn frame_reads(proto: &HttpProto, req: &[u8], reads: &[usize]) -> Request {
+        let (mut need, mut scanned) = (1, 0);
+        for &n in reads {
+            if n < need {
+                continue;
+            }
+            match proto.frame(&req[..n], 0, scanned) {
+                Framed::Incomplete {
+                    need: nd,
+                    scanned: sc,
+                } => (need, scanned) = (nd.max(n + 1), sc),
+                Framed::Frame { consumed, frame } if consumed == req.len() => return frame,
+                _ => panic!("`{}` misframed", String::from_utf8_lossy(&req[..n])),
+            }
+        }
+        panic!("never framed")
     }
 }

@@ -14,7 +14,7 @@
 //! * **connection budget** — connections over `--max-conns` get
 //!   `503` + `Retry-After` and are counted, while established
 //!   connections keep working;
-//! * **`/v1/stats` v6** — the `net` section counts the reactor's work.
+//! * **`/v1/stats` v7** — the `net` section counts the reactor's work.
 
 use adds_query::json::Json;
 use adds_serve::http::{read_request, serialize_response, BadRequest, Response};
@@ -217,38 +217,41 @@ fn pipelined_requests_split_at_odd_boundaries_stay_ordered() {
     let server = spawn_server();
     let sum = adds_serve::corpus::find("list_sum").unwrap();
     let scale = adds_serve::corpus::find("list_scale_adds").unwrap();
-    let parts = [
+    let small = vec![
         post("/v1/check", sum.source),
         post("/v1/analyze", scale.source),
         get("/healthz"),
         post("/v1/check", sum.source), // cache hit on its own prior item
     ];
+    // Pool-dispatched requests ahead of a ~1 MiB body, and one behind it.
+    let big = format!("{}// {}\n", sum.source, "x".repeat(1 << 20));
+    let mut burst = vec![get("/v1/corpus/list_sum"); 8];
+    burst.push(post("/v1/check", &big));
+    burst.push(get("/v1/corpus/list_sum"));
 
     // Reference responses from the oracle, same order.
     let oracle = Oracle::new();
-    let want: Vec<Vec<u8>> = parts.iter().map(|r| oracle.answer(r)).collect();
-
-    // One connection, all four requests pipelined back-to-back,
-    // written in 7-byte slices with pauses every 64 slices so the frames
-    // land split across reads in many different places.
-    let mut buf = Vec::new();
-    for p in &parts {
-        buf.extend_from_slice(p);
-    }
-    let mut conn = TcpStream::connect(server.addr()).expect("connect");
-    conn.set_nodelay(true).unwrap();
-    for (i, chunk) in buf.chunks(7).enumerate() {
-        conn.write_all(chunk).expect("write chunk");
-        if i % 64 == 63 {
-            std::thread::sleep(Duration::from_millis(1));
+    // One connection per input, all its requests pipelined back-to-back:
+    // the small ones written in 7-byte slices with pauses every 64 slices
+    // so the frames land split across reads in many different places, the
+    // burst in one write.
+    for (parts, slice) in [(small, 7), (burst, usize::MAX)] {
+        let want: Vec<Vec<u8>> = parts.iter().map(|r| oracle.answer(r)).collect();
+        let mut conn = TcpStream::connect(server.addr()).expect("connect");
+        conn.set_nodelay(true).unwrap();
+        for (i, chunk) in parts.concat().chunks(slice).enumerate() {
+            conn.write_all(chunk).expect("write chunk");
+            if i % 64 == 63 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
-    }
-    for (i, want) in want.iter().enumerate() {
-        let got = read_raw_response(&mut conn);
-        assert_eq!(
-            &got, want,
-            "pipelined response #{i} diverged from the oracle"
-        );
+        for (i, want) in want.iter().enumerate() {
+            let got = read_raw_response(&mut conn);
+            assert_eq!(
+                &got, want,
+                "pipelined response #{i} diverged from the oracle"
+            );
+        }
     }
     server.stop();
 }
@@ -366,7 +369,7 @@ fn connection_budget_rejects_with_503_and_counts() {
 }
 
 #[test]
-fn stats_v6_net_section_reports_the_reactor() {
+fn stats_v7_net_section_reports_the_reactor() {
     let server = spawn_server();
     // One inline-served probe and one pool-dispatched request.
     let h = raw_request(server.addr(), &get("/healthz"));
@@ -375,17 +378,26 @@ fn stats_v6_net_section_reports_the_reactor() {
     let c = raw_request(server.addr(), &post("/v1/check", entry.source));
     assert_eq!(status_of(&c), 200);
 
-    let raw = raw_request(server.addr(), &get("/v1/stats"));
+    // Asked on a connection that already had a response: it is open and
+    // kept alive.
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.write_all(&get("/healthz")).unwrap();
+    assert_eq!(status_of(&read_raw_response(&mut conn)), 200);
+    conn.write_all(&get("/v1/stats")).unwrap();
+    let raw = read_raw_response(&mut conn);
     let body_at = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
     let doc = Json::parse(&String::from_utf8_lossy(&raw[body_at..])).expect("stats JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("adds.serve-stats/v6")
+        Some("adds.serve-stats/v7")
     );
     let net = doc.get("net").expect("net section");
-    assert!(net.get("accepted").unwrap().as_usize().unwrap() >= 3);
-    assert!(net.get("dispatched").unwrap().as_usize().unwrap() >= 1);
-    assert!(net.get("inline").unwrap().as_usize().unwrap() >= 1);
-    assert!(net.get("open").unwrap().as_usize().unwrap() >= 1);
+    let at = |key: &str| net.get(key).and_then(Json::as_usize).unwrap();
+    assert!(at("accepted") >= 3);
+    assert!(at("dispatched") >= 1);
+    assert!(at("inline") >= 2);
+    assert!(at("open") >= 1);
+    assert!(at("keepalive") >= 1);
+    assert!(at("keepalive") <= at("open"));
     server.stop();
 }

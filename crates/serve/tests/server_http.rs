@@ -1,7 +1,7 @@
 //! Integration tests driving a real `adds-serve` server over TCP: routing,
 //! cache semantics (hit/miss/single-flight), byte-identity with the CLI
-//! report path, keep-alive connection reuse, the batch endpoint, and the
-//! `/v1/stats` document shape.
+//! report path, keep-alive connection reuse, the batch endpoint, the
+//! `/v1/stats` document shape, and its agreement with `/v1/metrics`.
 
 use adds_query::cache::{Cache, CacheStats, Outcome};
 use adds_query::json::Json;
@@ -9,6 +9,7 @@ use adds_query::session::{Session, Stage, StageRequest};
 use adds_query::sha::sha256;
 use adds_serve::http::{read_request, KEEPALIVE_MAX_REQUESTS};
 use adds_serve::server::{ServeOptions, Server, ServerHandle};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -580,7 +581,7 @@ fn stats_document_shape_is_golden_on_a_fresh_server() {
     .expect("request");
     let resp = server.state().handle(&req);
     assert_eq!(resp.status, 200);
-    // The full `adds.serve-stats/v6` document for one `/v1/stats` request
+    // The full `adds.serve-stats/v7` document for one `/v1/stats` request
     // on a fresh single-worker server: all counters zero except the stats
     // request itself (latency for the stats route records *after* the
     // handler, so its histogram is still empty here). No connection is
@@ -609,14 +610,14 @@ fn metrics_endpoint_serves_prometheus_text() {
         .unwrap_or_default()
         .starts_with("text/plain"));
     let text = String::from_utf8_lossy(&body);
-    assert!(text.starts_with("# adds.metrics/v1\n"), "{text}");
+    assert!(text.starts_with("# adds.metrics/v2\n"), "{text}");
     assert!(text.contains("adds_requests_total{route=\"analyze\"} 1"));
     assert!(text.contains("adds_requests_total{route=\"metrics\"} 1"));
     assert!(text.contains("adds_request_duration_us_count{route=\"analyze\"} 1"));
     assert!(text.contains("adds_query_computes_total{layer=\"parsed\"} 1"));
     assert!(text.contains("adds_query_duration_us_count{layer=\"analyzed\"} 1"));
     assert!(text.contains("adds_cache_misses_total 1"));
-    assert!(text.contains("adds_connections_open 1"));
+    assert!(text.contains("adds_net_open 1"), "{text}");
     // The analyze body was counted.
     assert!(text.contains(&format!("adds_request_body_bytes_total {}", src.len())));
     // Stats and metrics agree on the analyze latency count.
@@ -630,6 +631,160 @@ fn metrics_endpoint_serves_prometheus_text() {
     assert_eq!(analyze.get("count").unwrap().as_usize(), Some(1));
     assert!(analyze.get("p50_us").unwrap().as_usize().unwrap() > 0);
     server.stop();
+}
+
+/// Parsed Prometheus text: each sample's value and family by series
+/// (`name{labels}`), and each family's type. Asserts that every family
+/// has exactly one `# TYPE` line, placed before its first sample.
+struct Exposition {
+    samples: BTreeMap<String, (String, String)>,
+    types: BTreeMap<String, String>,
+}
+
+impl Exposition {
+    fn parse(text: &str) -> Exposition {
+        let mut samples = BTreeMap::new();
+        let mut types = BTreeMap::new();
+        for line in text.lines().skip(1) {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = decl.split_once(' ').expect("# TYPE name kind");
+                let again = types.insert(name.to_string(), kind.to_string());
+                assert!(again.is_none(), "second # TYPE line for {name}");
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').expect("series value");
+            let name = series.split('{').next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| name.strip_suffix(suffix))
+                .find(|base| types.get(*base).map(String::as_str) == Some("histogram"))
+                .unwrap_or(name);
+            assert!(
+                types.contains_key(family),
+                "`{series}` comes before any # TYPE line of {family}"
+            );
+            samples.insert(series.to_string(), (family.to_string(), value.to_string()));
+        }
+        Exposition { samples, types }
+    }
+}
+
+#[test]
+fn stats_and_metrics_agree_on_every_value() {
+    let dir = std::env::temp_dir().join(format!("adds_serve_agree_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        jobs: 2,
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServeOptions::default()
+    };
+    let server = Server::bind(&opts).expect("bind").spawn().expect("spawn");
+    let scale = adds_serve::corpus::find("list_scale_adds").unwrap().source;
+    let bh = adds_serve::corpus::find("barnes_hut").unwrap().source;
+    for (target, src) in [
+        ("/v1/analyze", scale),
+        ("/v1/parallelize", scale),
+        ("/v1/analyze", bh),
+        ("/v1/run?pes=2&bodies=16&steps=1", bh),
+    ] {
+        let (status, _, _) = http(server.addr(), "POST", target, src.as_bytes());
+        assert_eq!(status, 200, "{target}");
+    }
+    let report = format!("/v1/report/{}", sha256(scale.as_bytes()).hex());
+    let (status, _, _) = http(server.addr(), "GET", &report, b"");
+    assert_eq!(status, 200);
+    // Stopped, so nothing moves between the two renderings.
+    let state = server.state();
+    server.stop();
+    let (doc, text) = (state.stats_doc(), state.metrics_text());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let exp = Exposition::parse(&text);
+    let mut matched = BTreeSet::new();
+    let mut check = |series: &str, want: u64| {
+        let (family, got) = exp
+            .samples
+            .get(series)
+            .unwrap_or_else(|| panic!("no `{series}` sample"));
+        assert_eq!(got, &want.to_string(), "`{series}`");
+        let counter = exp.types[family] == "counter";
+        assert_eq!(counter, family.ends_with("_total"), "`{family}`: _total");
+        matched.insert(family.clone());
+    };
+    let fields = |doc: &Json, path: &[&str]| -> Vec<(String, Json)> {
+        let node = path.iter().fold(doc, |node, key| node.get(key).expect(key));
+        match node {
+            Json::Obj(fields) => fields.clone(),
+            other => panic!("{path:?} is not an object: {other:?}"),
+        }
+    };
+    let count = |summary: &Json| summary.get("count").and_then(Json::as_usize).unwrap() as u64;
+    // A stats leaf `section.key` is `{prefix}{key}_total` (counter) or
+    // `{prefix}{key}` (gauge), or a member of the section's labelled family.
+    for (section, prefix, family) in [
+        ("cache", "adds_cache_", None),
+        (
+            "queries",
+            "adds_query_",
+            Some("adds_query_computes_total{layer"),
+        ),
+        (
+            "requests",
+            "adds_request_",
+            Some("adds_requests_total{route"),
+        ),
+        ("parallel", "adds_par_", None),
+        ("net", "adds_net_", None),
+        ("store", "adds_store_", None),
+    ] {
+        for (key, value) in fields(&doc, &[section]) {
+            match value {
+                Json::UInt(n) => {
+                    let names = [
+                        Some(format!("{prefix}{key}_total")),
+                        Some(format!("{prefix}{key}")),
+                        family.map(|f| format!("{f}=\"{key}\"}}")),
+                    ];
+                    let found: Vec<String> = names
+                        .into_iter()
+                        .flatten()
+                        .filter(|name| exp.samples.contains_key(name))
+                        .collect();
+                    assert_eq!(found.len(), 1, "{section}.{key}: {found:?}");
+                    check(&found[0], n);
+                }
+                Json::Bool(b) => check(&format!("{prefix}{key}"), b as u64),
+                summary => check(&format!("{prefix}{key}_count"), count(&summary)),
+            }
+        }
+    }
+    for (path, family) in [
+        (
+            ["latency", "routes"],
+            "adds_request_duration_us_count{route",
+        ),
+        (["latency", "layers"], "adds_query_duration_us_count{layer"),
+    ] {
+        for (key, summary) in fields(&doc, &path) {
+            check(&format!("{family}=\"{key}\"}}"), count(&summary));
+        }
+    }
+    // Every family carries a stats value, and the traffic above reached
+    // the layers it drives, so the values compared are not all zero.
+    let typed: BTreeSet<String> = exp.types.keys().cloned().collect();
+    assert_eq!(matched, typed, "families without a /v1/stats value");
+    let at = |section: &str, key: &str| doc.get(section).and_then(|s| s.get(key)).unwrap();
+    for (section, key) in [
+        ("cache", "misses"),
+        ("queries", "runs"),
+        ("requests", "report"),
+        ("requests", "body_bytes"),
+        ("store", "puts"),
+        ("net", "accepted"),
+    ] {
+        assert!(at(section, key).as_usize() > Some(0), "{section}.{key}");
+    }
 }
 
 #[test]
