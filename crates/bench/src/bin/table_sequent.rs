@@ -4,8 +4,8 @@
 //! transformation applied by the analysis pipeline, and both versions run
 //! on the cycle-accurate machine model (slow sync, static strip schedule,
 //! 4 / 7 PEs). Cycle counts scale linearly in steps, so the default uses
-//! fewer steps and reports the 80-step equivalent (see EXPERIMENTS.md);
-//! pass `--full` for all 80 interpreted steps.
+//! fewer steps and reports the 80-step equivalent; pass `--full` for all
+//! 80 interpreted steps.
 
 use adds_bench::{Table, PAPER_NS, PAPER_PES, PAPER_STEPS, PAPER_TIMES};
 use adds_lang::programs;

@@ -83,6 +83,6 @@ fn main() {
     println!("{}", speedups.render());
     println!(
         "Shape check: speedups must be sublinear, grow with N, and par(7) > par(4).\n\
-         Absolute times differ from the paper's Sequent (see EXPERIMENTS.md)."
+         Absolute times differ from the paper's Sequent."
     );
 }

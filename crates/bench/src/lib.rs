@@ -1,7 +1,7 @@
 //! # adds-bench — harness regenerating every table and figure of the paper
 //!
-//! Shared plumbing for the experiment binaries (see DESIGN.md §4 for the
-//! experiment index):
+//! Shared plumbing for the experiment binaries (the README's "Regenerating
+//! the §4.4 tables" section shows how to run them):
 //!
 //! | binary            | artifacts |
 //! |-------------------|-----------|
@@ -12,7 +12,6 @@
 //! | `validation_demo` | §3.3.1 / §4.3.2 validation episodes (V1/V2) |
 //! | `transform_demo`  | §4.3.3 transformed code + equivalence run (T1) |
 //! | `ablations`       | §4.4 caveats (A1–A4) |
-//! | `prior_work`      | §2.1 precision ladder (P1) |
 //! | `water_vs_tree`   | §4.1/4.2 arrays-vs-pointers narrative (W1) |
 
 #![warn(missing_docs)]

@@ -1,91 +1,15 @@
-//! The `ladder` subcommand: the paper's §2 motivation as a runnable
-//! experiment. Every ladder program is analyzed by each prior-work baseline
-//! (conservative blob, k-limited storage graphs, allocation-site naming)
-//! and by the ADDS + general-path-matrix pipeline; the table shows which
-//! analyses license parallelizing the program's pointer-chasing loop.
+//! The `ladder` subcommand: renders [`adds::ladder::rows`], the paper's
+//! §2 motivation as a runnable experiment. Every ladder program's walk
+//! loop is judged by each prior-work baseline (conservative blob,
+//! k-limited storage graphs, allocation-site naming) and by the ADDS +
+//! general-path-matrix pipeline; the table shows which analyses license
+//! parallelizing it.
 
 use crate::json::{str_arr, Json};
-use adds::klimit::{self, Mode};
-
-/// Verdict of one analysis on one program.
-#[derive(Clone, Debug)]
-pub struct LadderCell {
-    /// Analysis name (baseline mode or `adds_gpm`).
-    pub analysis: String,
-    /// The analysis licenses parallelization of the main loop.
-    pub parallelizable: bool,
-    /// Reasons when it does not.
-    pub reasons: Vec<String>,
-}
-
-/// One ladder program's row.
-#[derive(Clone, Debug)]
-pub struct LadderRow {
-    /// Program name (from `adds_klimit::programs::ladder_programs`).
-    pub program: String,
-    /// Analyzed function.
-    pub function: String,
-    /// One cell per analysis, baselines first, `adds_gpm` last.
-    pub cells: Vec<LadderCell>,
-}
-
-/// Run the full ladder with the given `k` values for the k-limited baseline.
-pub fn run_ladder(klimits: &[usize]) -> Vec<LadderRow> {
-    let mut modes = vec![Mode::Blob];
-    for &k in klimits {
-        modes.push(Mode::KLimit(k));
-    }
-    modes.push(Mode::AllocSite);
-
-    let mut rows = Vec::new();
-    for (name, src, func) in klimit::programs::ladder_programs() {
-        let mut cells = Vec::new();
-        for &mode in &modes {
-            let checks = klimit::check_source(src, func, mode)
-                .unwrap_or_else(|d| panic!("ladder program {name} fails to compile: {d}"));
-            // The ladder programs each have exactly one interesting loop;
-            // the program parallelizes iff every checked loop does.
-            let parallelizable = !checks.is_empty() && checks.iter().all(|c| c.parallelizable);
-            let reasons =
-                crate::report::dedup_reasons(checks.iter().flat_map(|c| c.reasons.clone()));
-            cells.push(LadderCell {
-                analysis: mode.name(),
-                parallelizable,
-                reasons,
-            });
-        }
-
-        // The ADDS + GPM rung: analyze the ADDS-annotated twin.
-        let twin = klimit::programs::adds_twin(src);
-        let compiled = adds::core::compile(&twin)
-            .unwrap_or_else(|d| panic!("ladder twin {name} fails to compile: {d}"));
-        let an = compiled
-            .analysis(func)
-            .unwrap_or_else(|| panic!("ladder twin {name} has no analysis for {func}"));
-        let checks = adds::core::check_function(&compiled.tp, &compiled.summaries, an, func);
-        let parallelizable = !checks.is_empty() && checks.iter().all(|c| c.parallelizable);
-        let reasons = crate::report::dedup_reasons(
-            checks
-                .iter()
-                .flat_map(|c| c.reasons.iter().map(|r| r.to_string())),
-        );
-        cells.push(LadderCell {
-            analysis: "adds_gpm".to_string(),
-            parallelizable,
-            reasons,
-        });
-
-        rows.push(LadderRow {
-            program: name.to_string(),
-            function: func.to_string(),
-            cells,
-        });
-    }
-    rows
-}
+use adds::ladder::Row;
 
 /// JSON document for `ladder --format json`.
-pub fn to_json(rows: &[LadderRow]) -> Json {
+pub fn to_json(rows: &[Row]) -> Json {
     Json::obj([
         ("schema", Json::str("adds.ladder/v1")),
         (
@@ -94,16 +18,16 @@ pub fn to_json(rows: &[LadderRow]) -> Json {
                 rows.iter()
                     .map(|r| {
                         Json::obj([
-                            ("program", Json::str(&r.program)),
-                            ("function", Json::str(&r.function)),
+                            ("program", Json::str(r.program)),
+                            ("function", Json::str(r.function)),
                             (
                                 "verdicts",
                                 Json::Arr(
-                                    r.cells
+                                    r.verdicts
                                         .iter()
                                         .map(|c| {
                                             Json::obj([
-                                                ("analysis", Json::str(&c.analysis)),
+                                                ("analysis", Json::str(c.analysis.name())),
                                                 ("parallelizable", Json::Bool(c.parallelizable)),
                                                 ("reasons", str_arr(&c.reasons)),
                                             ])
@@ -120,12 +44,12 @@ pub fn to_json(rows: &[LadderRow]) -> Json {
 }
 
 /// Text table for `ladder`.
-pub fn to_text(rows: &[LadderRow]) -> String {
+pub fn to_text(rows: &[Row]) -> String {
     let mut out = String::new();
     let Some(first) = rows.first() else {
         return "no ladder programs\n".to_string();
     };
-    let analyses: Vec<&str> = first.cells.iter().map(|c| c.analysis.as_str()).collect();
+    let analyses: Vec<String> = first.verdicts.iter().map(|c| c.analysis.name()).collect();
     let prog_w = rows
         .iter()
         .map(|r| r.program.len())
@@ -139,7 +63,7 @@ pub fn to_text(rows: &[LadderRow]) -> String {
     out.push('\n');
     for r in rows {
         out.push_str(&format!("{:<prog_w$}", r.program));
-        for c in &r.cells {
+        for c in &r.verdicts {
             let mark = if c.parallelizable {
                 "parallel"
             } else {
@@ -151,39 +75,4 @@ pub fn to_text(rows: &[LadderRow]) -> String {
     }
     out.push_str("\n(parallel = the analysis proves the pointer-chasing loop dependence-free)\n");
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ladder_shows_monotone_precision() {
-        let rows = run_ladder(&[1, 3]);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            // adds_gpm is the last cell and must be at least as strong as
-            // the conservative baseline (first cell).
-            let blob = &r.cells[0];
-            let gpm = r.cells.last().unwrap();
-            assert!(
-                !blob.parallelizable || gpm.parallelizable,
-                "{}: blob parallelizes but ADDS+GPM does not",
-                r.program
-            );
-        }
-        // The headline claim: ADDS+GPM parallelizes the parameter-passing
-        // program that every storage-graph baseline must give up on.
-        let param = rows.iter().find(|r| r.program.contains("param")).unwrap();
-        assert!(param.cells.last().unwrap().parallelizable);
-        assert!(!param.cells[0].parallelizable);
-    }
-
-    #[test]
-    fn json_and_text_render() {
-        let rows = run_ladder(&[1]);
-        let j = to_json(&rows).pretty();
-        assert!(j.contains("\"schema\": \"adds.ladder/v1\""));
-        assert!(to_text(&rows).contains("program"));
-    }
 }

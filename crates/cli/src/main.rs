@@ -193,7 +193,7 @@ fn run_command(args: &args::Args) -> i32 {
                 );
                 return 2;
             }
-            let rows = ladder::run_ladder(&args.klimits);
+            let rows = adds::ladder::rows(&args.klimits);
             match args.format {
                 Format::Json => emit(&ladder::to_json(&rows).pretty()),
                 Format::Text => emit(&ladder::to_text(&rows)),

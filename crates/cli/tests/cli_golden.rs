@@ -13,6 +13,7 @@
 //! `crates/cli/tests/golden/` instead of comparing — review the diff before
 //! committing.
 
+use adds::query::json::Json;
 use std::process::{Command, Output};
 
 fn cli() -> Command {
@@ -28,6 +29,11 @@ fn run_ok(args: &[&str]) -> Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+/// `j[key]`, which must be present.
+fn field<'a>(j: &'a Json, key: &str) -> &'a Json {
+    j.get(key).unwrap_or_else(|| panic!("missing `{key}`"))
 }
 
 fn golden_path(name: &str) -> String {
@@ -180,17 +186,55 @@ fn usage_errors_exit_2() {
 
 #[test]
 fn ladder_json_has_all_rungs() {
-    let out = run_ok(&["ladder", "--format", "json"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    for analysis in [
+    // The paper's §2.1 matrix at k = 1, 3, as `tests/precision_ladder.rs`
+    // expects it. Each cell judges the walk loop alone, so a list-building
+    // loop neither decides a cell nor lends it a reason.
+    let columns = [
         "conservative",
         "k-limited(k=1)",
+        "k-limited(k=3)",
         "alloc-site (CWZ)",
         "adds_gpm",
-    ] {
-        assert!(text.contains(analysis), "missing {analysis}");
+    ];
+    let expected = [
+        ("straight-line build", [false, false, true, true, true]),
+        ("loop build (append)", [false, false, false, true, true]),
+        ("loop build (prepend)", [false, false, false, false, true]),
+        ("recursive build", [false, false, false, false, true]),
+        ("list as parameter", [false, false, false, false, true]),
+    ];
+    let out = run_ok(&["ladder", "--klimit", "1,3", "--format", "json"]);
+    let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("ladder JSON parses");
+    assert_eq!(field(&doc, "schema").as_str(), Some("adds.ladder/v1"));
+    let programs = field(&doc, "programs").as_arr().expect("programs array");
+    assert_eq!(programs.len(), expected.len(), "one row per ladder program");
+    for (row, (name, licensed)) in programs.iter().zip(expected) {
+        assert_eq!(field(row, "program").as_str(), Some(name));
+        let verdicts = field(row, "verdicts").as_arr().expect("verdicts array");
+        let got: Vec<(&str, bool)> = verdicts
+            .iter()
+            .map(|v| {
+                let analysis = field(v, "analysis").as_str().expect("analysis");
+                let ok = field(v, "parallelizable").as_bool().expect("bool");
+                (analysis, ok)
+            })
+            .collect();
+        let want: Vec<(&str, bool)> = columns.into_iter().zip(licensed).collect();
+        assert_eq!(got, want, "{name}");
+        for v in verdicts {
+            let reasons = field(v, "reasons").pretty();
+            assert!(
+                !reasons.contains("loop condition is not"),
+                "{name}: {reasons}"
+            );
+        }
     }
-    assert!(text.contains("\"schema\": \"adds.ladder/v1\""));
+
+    let out = run_ok(&["ladder", "--klimit", "1,3"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    let header = text.lines().next().expect("header line");
+    assert!(header.starts_with("program"), "{text}");
+    assert!(columns.iter().all(|c| header.contains(c)), "{text}");
 }
 
 #[test]

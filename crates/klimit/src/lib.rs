@@ -28,12 +28,12 @@
 //! `adds-lang` AST ([`analyze_function`]), answer may-alias and shape
 //! queries ([`queries`]), and deliver a strip-mine parallelizability
 //! verdict per pointer-chasing loop ([`check_function`]) that plugs into
-//! the precision-ladder ablation against ADDS + general path matrix
-//! analysis (see `adds-bench`, bin `prior_work`).
+//! the precision ladder against ADDS + general path matrix analysis
+//! (`adds::ladder`, rendered by `adds-cli ladder`).
 //!
 //! The crate depends only on `adds-lang`; `adds-core` (the paper's own
-//! analysis) never sees these graphs — the two sides meet only in the
-//! ablation harness and integration tests.
+//! analysis) never sees these graphs — the two sides meet only in
+//! `adds::ladder` and the integration tests.
 
 #![warn(missing_docs)]
 

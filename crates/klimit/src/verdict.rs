@@ -16,7 +16,7 @@
 //!    (`pts(p)`, `f`): the advance can never revisit a cell.
 //!
 //! The corresponding ADDS-side verdict lives in `adds-core::depend`; the
-//! precision-ladder ablation (bench bin `prior_work`) prints both.
+//! precision ladder (`adds-cli ladder`) prints both.
 
 use crate::analysis::{analyze_function, FnGraphs, Mode};
 use crate::queries::walk_is_distinct;

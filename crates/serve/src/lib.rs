@@ -11,12 +11,8 @@
 //! * [`metrics`] — the sinks that render the server's one metric walk as
 //!   the `/v1/stats` document and the `/v1/metrics` Prometheus text.
 //! * [`server`] — the `adds-cli serve` engine: the `adds-net` `poll(2)`
-//!   reactor with a `--jobs` worker pool, routing
-//!   `POST /v1/{analyze,parallelize,run,check,parse,batch}`,
-//!   `GET /v1/report/{sha256}`, `GET /v1/corpus[/{name}]`,
-//!   `GET /v1/stats`, `GET /v1/metrics` (Prometheus text),
-//!   `GET /v1/trace` (Chrome `trace_event` JSON, with `--trace`), and
-//!   `GET /healthz`.
+//!   reactor with a `--jobs` worker pool, routing the endpoints that
+//!   [`server::ENDPOINTS`] declares (table in the [`server`] docs).
 //!
 //! The wire format *is* the CLI report format: `POST /v1/analyze` with a
 //! source body answers with a document byte-identical to

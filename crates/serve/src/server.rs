@@ -13,21 +13,25 @@
 //!
 //! ## Endpoints
 //!
+//! [`ENDPOINTS`] declares these rows, in this order, and a test holds the
+//! table to it. A known path under another method answers `405` with an
+//! `Allow` header; an unknown path answers `404`.
+//!
 //! | method + path | body | response |
 //! |---|---|---|
 //! | `POST /v1/analyze` | IL source | `adds.analyze/v2` document |
 //! | `POST /v1/parallelize` | IL source | `adds.parallelize/v2` document |
+//! | `POST /v1/run` | IL source | `adds.run/v1` document |
 //! | `POST /v1/check` | IL source | `adds.check/v1` document |
 //! | `POST /v1/parse` | IL source | `adds.parse/v1` document |
-//! | `POST /v1/run` | IL source | `adds.run/v1` document |
 //! | `POST /v1/batch` | `adds.batch/v1` request | `adds.batch/v1` results |
 //! | `GET /v1/report/{sha256}` | — | cached stage document or 404 |
 //! | `GET /v1/corpus` | — | built-in program list |
 //! | `GET /v1/corpus/{name}` | — | built-in program source (text) |
 //! | `GET /v1/stats` | — | `adds.serve-stats/v7` counters, gauges + latency quantiles |
+//! | `GET /healthz` | — | `ok` |
 //! | `GET /v1/metrics` | — | the same metrics as Prometheus text (`adds.metrics/v2`) |
 //! | `GET /v1/trace` | — | `adds.trace/v1` buffered spans (needs `--trace`) |
-//! | `GET /healthz` | — | `ok` |
 //!
 //! `POST` endpoints accept `?name=NAME` to set the report's display name
 //! (default: the body's sha256), `analyze` accepts `&matrices=1`, and
@@ -149,95 +153,135 @@ impl Default for ServeOptions {
     }
 }
 
-/// What [`ServerState::handle`] dispatches on, and the key of every
-/// per-route metric: dense, so counters and histograms index by it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Route {
-    /// `POST /v1/analyze`
-    Analyze,
-    /// `POST /v1/parallelize`
-    Parallelize,
-    /// `POST /v1/run`
-    Run,
-    /// `POST /v1/check`
-    Check,
-    /// `POST /v1/parse`
-    Parse,
-    /// `POST /v1/batch`
-    Batch,
-    /// `GET /v1/report/{sha}`
-    Report,
-    /// `GET /v1/corpus[/{name}]`
-    Corpus,
-    /// `GET /v1/stats`
-    Stats,
-    /// `GET /healthz`
-    Healthz,
-    /// `GET /v1/metrics`
-    Metrics,
-    /// `GET /v1/trace`
-    Trace,
-    /// Anything else (404s, bad methods, unreadable requests).
-    Other,
+/// Declares the routes once. Each `Variant "label" { … }` is one
+/// [`Route`] with its metric label, in metric order; each
+/// `METHOD "pattern", "body", "response";` inside it is one [`Endpoint`].
+macro_rules! routes {
+    ($($route:ident $label:literal {
+        $($method:ident $pattern:literal, $body:literal, $response:literal;)+
+    })+) => {
+        /// What [`ServerState::handle`] dispatches on, and the key of every
+        /// per-route metric: dense, so counters and histograms index by it.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum Route {
+            $(
+                $(#[doc = concat!("`", stringify!($method), " ", $pattern, "`")])+
+                $route,
+            )+
+            /// Anything else (404s, bad methods, unreadable requests).
+            Other,
+        }
+
+        impl Route {
+            /// Every route, in declaration order (`as usize` indexes this).
+            pub const ALL: &'static [Route] = &[$(Route::$route,)+ Route::Other];
+
+            /// Number of routes (the counter and histogram array length).
+            pub const COUNT: usize = Route::ALL.len();
+
+            /// Stable metric label (matches the `/v1/stats` request keys).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Route::$route => $label,)+
+                    Route::Other => "other",
+                }
+            }
+        }
+
+        /// Every endpoint, in declaration order: the rows of the module
+        /// docs' endpoint table.
+        pub const ENDPOINTS: &[Endpoint] = &[$($(Endpoint {
+            method: stringify!($method),
+            pattern: $pattern,
+            route: Route::$route,
+            body: $body,
+            response: $response,
+        },)+)+];
+    };
 }
 
-impl Route {
-    /// Number of routes (the counter and histogram array length).
-    pub const COUNT: usize = 13;
+routes! {
+    Analyze "analyze" { POST "/v1/analyze", "IL source", "`adds.analyze/v2` document"; }
+    Parallelize "parallelize" {
+        POST "/v1/parallelize", "IL source", "`adds.parallelize/v2` document";
+    }
+    Run "run" { POST "/v1/run", "IL source", "`adds.run/v1` document"; }
+    Check "check" { POST "/v1/check", "IL source", "`adds.check/v1` document"; }
+    Parse "parse" { POST "/v1/parse", "IL source", "`adds.parse/v1` document"; }
+    Batch "batch" { POST "/v1/batch", "`adds.batch/v1` request", "`adds.batch/v1` results"; }
+    Report "report" { GET "/v1/report/{sha256}", "—", "cached stage document or 404"; }
+    Corpus "corpus" {
+        GET "/v1/corpus", "—", "built-in program list";
+        GET "/v1/corpus/{name}", "—", "built-in program source (text)";
+    }
+    Stats "stats" {
+        GET "/v1/stats", "—", "`adds.serve-stats/v7` counters, gauges + latency quantiles";
+    }
+    Healthz "healthz" { GET "/healthz", "—", "`ok`"; }
+    Metrics "metrics" {
+        GET "/v1/metrics", "—", "the same metrics as Prometheus text (`adds.metrics/v2`)";
+    }
+    Trace "trace" { GET "/v1/trace", "—", "`adds.trace/v1` buffered spans (needs `--trace`)"; }
+}
 
-    /// Every route, in declaration order (`as usize` indexes this).
-    pub const ALL: &'static [Route] = &[
-        Route::Analyze,
-        Route::Parallelize,
-        Route::Run,
-        Route::Check,
-        Route::Parse,
-        Route::Batch,
-        Route::Report,
-        Route::Corpus,
-        Route::Stats,
-        Route::Healthz,
-        Route::Metrics,
-        Route::Trace,
-        Route::Other,
-    ];
+/// One endpoint of the API, declared in [`ENDPOINTS`].
+#[derive(Clone, Copy, Debug)]
+pub struct Endpoint {
+    /// The request method.
+    pub method: &'static str,
+    /// The path: exact, or a prefix ending in one `{…}` placeholder, which
+    /// matches any suffix, the empty one included.
+    pub pattern: &'static str,
+    /// The route that serves it.
+    pub route: Route,
+    /// What the request body holds.
+    pub body: &'static str,
+    /// What the response holds.
+    pub response: &'static str,
+}
 
-    /// Stable metric label (matches the `/v1/stats` request keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            Route::Analyze => "analyze",
-            Route::Parallelize => "parallelize",
-            Route::Run => "run",
-            Route::Check => "check",
-            Route::Parse => "parse",
-            Route::Batch => "batch",
-            Route::Report => "report",
-            Route::Corpus => "corpus",
-            Route::Stats => "stats",
-            Route::Healthz => "healthz",
-            Route::Metrics => "metrics",
-            Route::Trace => "trace",
-            Route::Other => "other",
+impl Endpoint {
+    /// `None` when `path` does not match the pattern; otherwise what the
+    /// placeholder captured, `None` for an exact pattern.
+    fn capture<'p>(&self, path: &'p str) -> Option<Option<&'p str>> {
+        match self.pattern.split_once('{') {
+            Some((prefix, _)) => path.strip_prefix(prefix).map(Some),
+            None => (path == self.pattern).then_some(None),
         }
     }
+}
 
-    /// The route [`ServerState::handle`] dispatches a request to.
-    pub fn classify(method: &str, path: &str) -> Route {
-        match (method, path) {
-            ("GET", "/healthz") => Route::Healthz,
-            ("GET", "/v1/stats") => Route::Stats,
-            ("GET", "/v1/metrics") => Route::Metrics,
-            ("GET", "/v1/trace") => Route::Trace,
-            ("GET", p) if p == "/v1/corpus" || p.starts_with("/v1/corpus/") => Route::Corpus,
-            ("GET", p) if p.starts_with("/v1/report/") => Route::Report,
-            ("POST", "/v1/analyze") => Route::Analyze,
-            ("POST", "/v1/parallelize") => Route::Parallelize,
-            ("POST", "/v1/run") => Route::Run,
-            ("POST", "/v1/check") => Route::Check,
-            ("POST", "/v1/parse") => Route::Parse,
-            ("POST", "/v1/batch") => Route::Batch,
-            _ => Route::Other,
+/// Where a request line leads: one pass over [`ENDPOINTS`].
+#[derive(Clone, Copy, Debug)]
+enum Target<'p> {
+    /// An endpoint's route, with what its placeholder captured.
+    Route(Route, Option<&'p str>),
+    /// The path is declared for this other method only. Every pattern is
+    /// declared once, so it is the one method to allow.
+    WrongMethod(&'static str),
+    /// No endpoint declares the path.
+    NotFound,
+}
+
+impl<'p> Target<'p> {
+    fn resolve(method: &str, path: &'p str) -> Target<'p> {
+        let mut target = Target::NotFound;
+        for endpoint in ENDPOINTS {
+            if let Some(arg) = endpoint.capture(path) {
+                if endpoint.method == method {
+                    return Target::Route(endpoint.route, arg);
+                }
+                target = Target::WrongMethod(endpoint.method);
+            }
+        }
+        target
+    }
+
+    fn route(self) -> Route {
+        match self {
+            Target::Route(route, _) => route,
+            Target::WrongMethod(_) | Target::NotFound => Route::Other,
         }
     }
 }
@@ -310,54 +354,41 @@ impl ServerState {
 
     /// Route one request to a response.
     pub fn handle(&self, req: &Request) -> Response {
-        let route = Route::classify(&req.method, &req.path);
-        self.count(route);
-        match route {
-            Route::Healthz => Response::text(200, "ok\n"),
-            Route::Stats => Response::json(200, self.stats_doc().pretty()),
-            Route::Metrics => Response::text(200, self.metrics_text()),
-            Route::Trace => {
+        self.serve(Target::resolve(&req.method, &req.path), req)
+    }
+
+    /// [`Self::handle`] for a request line already resolved.
+    fn serve(&self, target: Target, req: &Request) -> Response {
+        self.count(target.route());
+        match target {
+            Target::Route(Route::Healthz, _) => Response::text(200, "ok\n"),
+            Target::Route(Route::Stats, _) => Response::json(200, self.stats_doc().pretty()),
+            Target::Route(Route::Metrics, _) => Response::text(200, self.metrics_text()),
+            Target::Route(Route::Trace, _) => {
                 if trace::enabled() {
                     Response::json(200, trace::render_current())
                 } else {
                     Response::error(404, "tracing is off; start the server with --trace")
                 }
             }
-            Route::Corpus => match req.path.strip_prefix("/v1/corpus/") {
-                None => Response::json(200, corpus_doc().pretty()),
-                Some(name) => match corpus::find(name) {
-                    Some(e) => Response::text(200, e.source),
-                    None => Response::error(404, &format!("unknown corpus program `{name}`")),
-                },
+            Target::Route(Route::Corpus, None) => Response::json(200, corpus_doc().pretty()),
+            Target::Route(Route::Corpus, Some(name)) => match corpus::find(name) {
+                Some(e) => Response::text(200, e.source),
+                None => Response::error(404, &format!("unknown corpus program `{name}`")),
             },
-            Route::Report => self.report_lookup(&req.path["/v1/report/".len()..], req),
-            Route::Analyze => self.stage_request(Stage::Analyze, req),
-            Route::Parallelize => self.stage_request(Stage::Parallelize, req),
-            Route::Check => self.stage_request(Stage::Check, req),
-            Route::Parse => self.stage_request(Stage::Parse, req),
-            Route::Run => self.run_request(req),
-            Route::Batch => self.batch_request(req),
-            Route::Other => {
-                let (method, path) = (&req.method, &req.path);
-                let known_path = matches!(
-                    path.as_str(),
-                    "/healthz"
-                        | "/v1/stats"
-                        | "/v1/metrics"
-                        | "/v1/trace"
-                        | "/v1/corpus"
-                        | "/v1/analyze"
-                        | "/v1/parallelize"
-                        | "/v1/check"
-                        | "/v1/parse"
-                        | "/v1/run"
-                        | "/v1/batch"
-                );
-                if known_path {
-                    Response::error(405, &format!("method {method} not allowed on {path}"))
-                } else {
-                    Response::error(404, &format!("no route for {method} {path}"))
-                }
+            Target::Route(Route::Report, hex) => self.report_lookup(hex.unwrap_or_default(), req),
+            Target::Route(Route::Analyze, _) => self.stage_request(Stage::Analyze, req),
+            Target::Route(Route::Parallelize, _) => self.stage_request(Stage::Parallelize, req),
+            Target::Route(Route::Check, _) => self.stage_request(Stage::Check, req),
+            Target::Route(Route::Parse, _) => self.stage_request(Stage::Parse, req),
+            Target::Route(Route::Run, _) => self.run_request(req),
+            Target::Route(Route::Batch, _) => self.batch_request(req),
+            Target::WrongMethod(allow) => {
+                let msg = format!("method {} not allowed on {}", req.method, req.path);
+                Response::error(405, &msg).with_header("Allow", allow.to_string())
+            }
+            Target::Route(Route::Other, _) | Target::NotFound => {
+                Response::error(404, &format!("no route for {} {}", req.method, req.path))
             }
         }
     }
@@ -1170,6 +1201,7 @@ impl Protocol for HttpProto {
             None
         };
         let started = std::time::Instant::now();
+        let target = Target::resolve(&req.method, &req.path);
         let resp = {
             let _execute = if tracing {
                 trace::span("serve.execute", "serve")
@@ -1178,7 +1210,8 @@ impl Protocol for HttpProto {
             };
             // A handler panic must not take down a worker or wedge its
             // connection forever.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.handle(&req))) {
+            let serve = || state.serve(target, &req);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(serve)) {
                 Ok(resp) => resp,
                 Err(_) => Response::error(500, "internal error"),
             }
@@ -1190,8 +1223,7 @@ impl Protocol for HttpProto {
             s.arg("status", resp.status.to_string());
         }
         if state.instrument {
-            let route = Route::classify(&req.method, &req.path);
-            state.metrics.route_latency[route as usize].record(micros);
+            state.metrics.route_latency[target.route() as usize].record(micros);
             state.metrics.bytes_in.add(req.body.len() as u64);
         }
         if state.log_requests {
@@ -1311,6 +1343,33 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The module docs' endpoint table is the one written copy of the
+    /// routes: it must list every declared endpoint, cells included, in
+    /// declaration order, and nothing else.
+    #[test]
+    fn endpoint_table_matches_the_route_declaration() {
+        let documented: Vec<&str> = include_str!("server.rs")
+            .lines()
+            .skip_while(|line| *line != "//! ## Endpoints")
+            .skip_while(|line| !line.starts_with("//! |"))
+            .take_while(|line| line.starts_with("//! |"))
+            .skip(2) // header and rule
+            .map(|line| &line["//! ".len()..])
+            .collect();
+        let row = |e: &Endpoint| {
+            let (method, pattern, body, response) = (e.method, e.pattern, e.body, e.response);
+            format!("| `{method} {pattern}` | {body} | {response} |")
+        };
+        let declared: Vec<String> = ENDPOINTS.iter().map(row).collect();
+        assert_eq!(documented, declared, "`## Endpoints` vs ENDPOINTS");
+
+        // `Target::WrongMethod` names one method to allow.
+        let mut patterns: Vec<&str> = ENDPOINTS.iter().map(|e| e.pattern).collect();
+        patterns.sort_unstable();
+        patterns.dedup();
+        assert_eq!(patterns.len(), ENDPOINTS.len(), "a pattern declared twice");
+    }
 
     #[test]
     fn partial_requests_say_how_many_bytes_they_need() {

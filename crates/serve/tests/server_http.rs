@@ -115,14 +115,27 @@ fn healthz_and_unknown_routes() {
     assert_eq!(status, 200);
     assert_eq!(body, b"ok\n");
 
-    let (status, _, _) = http(server.addr(), "GET", "/nope", b"");
-    assert_eq!(status, 404);
-    let (status, _, _) = http(server.addr(), "GET", "/v1/analyze", b"");
-    assert_eq!(status, 405, "GET on a POST endpoint");
-    let (status, _, _) = http(server.addr(), "POST", "/healthz", b"");
-    assert_eq!(status, 405);
-    let (status, _, _) = http(server.addr(), "GET", "/v1/batch", b"");
-    assert_eq!(status, 405, "GET on the batch endpoint");
+    // A declared path under another method is a 405 naming the allowed
+    // one, prefix routes included; an undeclared path is a 404.
+    for (method, target, status, allow) in [
+        ("GET", "/nope", 404, None),
+        ("GET", "/v1/corpusX", 404, None),
+        ("GET", "/v1/corpus/", 404, None),
+        ("GET", "/v1/report/", 400, None),
+        ("GET", "/v1/analyze", 405, Some("POST")),
+        ("GET", "/v1/batch", 405, Some("POST")),
+        ("POST", "/healthz", 405, Some("GET")),
+        ("POST", "/v1/corpus", 405, Some("GET")),
+        ("POST", "/v1/corpus/list_sum", 405, Some("GET")),
+        ("POST", "/v1/report/abc", 405, Some("GET")),
+    ] {
+        let (got, headers, _) = http(server.addr(), method, target, b"");
+        let got = (got, header(&headers, "Allow"));
+        assert_eq!(got, (status, allow), "{method} {target}");
+    }
+    let (_, _, body) = http(server.addr(), "GET", "/v1/corpus/", b"");
+    let body = String::from_utf8_lossy(&body);
+    assert!(body.contains("unknown corpus program ``"), "{body}");
     server.stop();
 }
 

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --example prior_art_ladder`
 
-use adds::klimit::{analysis, programs, verdict, Mode};
+use adds::klimit::{analysis, programs, Mode};
+use adds::ladder::{walk_verdict, Analysis};
 
 fn main() {
     // The list is built by a loop and walked in the same function — the
@@ -25,15 +26,12 @@ fn main() {
         );
 
         // Its verdict on strip-mining the walk.
-        let checks = verdict::check_source(src, "main", mode).expect("checks");
-        let walk_check = checks.last().expect("walk checked");
-        if walk_check.parallelizable {
+        let verdict = walk_verdict(src, "main", Analysis::Baseline(mode)).expect("walk judged");
+        if verdict.parallelizable {
             println!("verdict: parallelizable\n");
         } else {
-            println!(
-                "verdict: NOT parallelizable — {}\n",
-                walk_check.reasons.join("; ")
-            );
+            let reasons = verdict.reasons.join("; ");
+            println!("verdict: NOT parallelizable — {reasons}\n");
         }
     }
 
@@ -42,13 +40,7 @@ fn main() {
     let twin = programs::adds_twin(src);
     println!("=== with the ADDS declaration ===");
     println!("type L [X] {{ int v; L *next is uniquely forward along X; }};\n");
-    let compiled = adds::core::compile(&twin).expect("compiles");
-    let an = compiled.analysis("main").expect("analyzed");
-    let checks = adds::core::check_function(&compiled.tp, &compiled.summaries, an, "main");
-    let walk = checks
-        .iter()
-        .rfind(|c| c.pattern.is_some())
-        .expect("walk loop");
+    let walk = walk_verdict(src, "main", Analysis::AddsGpm).expect("walk judged");
     println!(
         "--- ADDS + general path matrix analysis ---\nverdict: {}",
         if walk.parallelizable {

@@ -14,7 +14,10 @@
 //!   unrolling, software pipelining).
 //! * [`klimit`] — the §2.1 **prior-work baselines** (conservative blob,
 //!   k-limited storage graphs, CWZ-style allocation sites) over the same
-//!   IL, for the runnable precision ladder.
+//!   IL.
+//! * [`ladder`] — the runnable §2.1 **precision ladder**: each baseline
+//!   and ADDS + general path matrix analysis judging the same walk loop,
+//!   rendered by `adds-cli ladder`.
 //! * [`machine`] — the execution substrate: IL interpreter with a simulated
 //!   Sequent-class MIMD cost model, speculative traversability, and dynamic
 //!   conflict detection.
@@ -63,6 +66,8 @@ pub use adds_obs as obs;
 pub use adds_query as query;
 pub use adds_store as store;
 pub use adds_structures as structures;
+
+pub mod ladder;
 
 /// The **library API**: the same demand-driven [`Session`](api::Session)
 /// the CLI and the HTTP server are frontends over, re-exported for

@@ -1,9 +1,9 @@
 //! The §2.1 precision ladder as a cross-crate integration test: the prior
 //! structure-estimation baselines (`adds-klimit`) vs the paper's ADDS +
 //! general path matrix pipeline (`adds-core`) on the same scaling loop,
-//! with the list arriving from four different origins.
-//!
-//! The expected matrix *is* the paper's motivation section:
+//! with the list arriving from four different origins. It pins
+//! `adds::ladder`, which `adds-cli ladder` renders, to the expected
+//! matrix, which *is* the paper's motivation section:
 //!
 //! | origin           | blob | k=1 | k=3 | CWZ | ADDS |
 //! |------------------|------|-----|-----|-----|------|
@@ -16,47 +16,43 @@
 //! *our simplified CWZ variant; full \[CWZ90\] handles prepend — see
 //! `adds_klimit::programs::PREPEND_BUILT_SCALE`.
 
-use adds::klimit::{programs, verdict, Mode};
+use adds::klimit::{programs, Mode};
+use adds::ladder::{self, walk_verdict, Analysis};
 
-fn prior(src: &str, func: &str, mode: Mode) -> bool {
-    let checks = verdict::check_source(src, func, mode).expect("program checks");
-    checks
-        .iter()
-        .rfind(|c| c.pattern.is_some())
-        .expect("walk loop recognized")
-        .parallelizable
-}
-
-fn adds(src: &str, func: &str) -> bool {
-    let twin = programs::adds_twin(src);
-    let c = adds::core::compile(&twin).expect("twin compiles");
-    let an = c.analysis(func).expect("function analyzed");
-    adds::core::check_function(&c.tp, &c.summaries, an, func)
-        .iter()
-        .rfind(|c| c.pattern.is_some())
-        .expect("walk loop recognized")
-        .parallelizable
-}
+/// The ladder's columns at `k = 1, 3`, in rung order.
+const COLUMNS: [&str; 5] = [
+    "conservative",
+    "k-limited(k=1)",
+    "k-limited(k=3)",
+    "alloc-site (CWZ)",
+    "adds_gpm",
+];
 
 #[test]
 fn ladder_matrix_matches_the_papers_motivation() {
-    // (origin, blob, k1, k3, cwz, adds)
+    // (origin, [blob, k1, k3, cwz, adds])
     let expected = [
-        ("straight-line build", false, false, true, true, true),
-        ("loop build (append)", false, false, false, true, true),
-        ("loop build (prepend)", false, false, false, false, true),
-        ("recursive build", false, false, false, false, true),
-        ("list as parameter", false, false, false, false, true),
+        ("straight-line build", [false, false, true, true, true]),
+        ("loop build (append)", [false, false, false, true, true]),
+        ("loop build (prepend)", [false, false, false, false, true]),
+        ("recursive build", [false, false, false, false, true]),
+        ("list as parameter", [false, false, false, false, true]),
     ];
-    for ((name, src, func), (ename, blob, k1, k3, cwz, want_adds)) in
-        programs::ladder_programs().into_iter().zip(expected)
-    {
-        assert_eq!(name, ename, "program order");
-        assert_eq!(prior(src, func, Mode::Blob), blob, "{name}: blob");
-        assert_eq!(prior(src, func, Mode::KLimit(1)), k1, "{name}: k=1");
-        assert_eq!(prior(src, func, Mode::KLimit(3)), k3, "{name}: k=3");
-        assert_eq!(prior(src, func, Mode::AllocSite), cwz, "{name}: cwz");
-        assert_eq!(adds(src, func), want_adds, "{name}: adds");
+    let rows = ladder::rows(&[1, 3]);
+    assert_eq!(rows.len(), expected.len(), "one row per ladder program");
+    for (row, (name, licensed)) in rows.iter().zip(expected) {
+        assert_eq!(row.program, name, "program order");
+        let got: Vec<(String, bool)> = row
+            .verdicts
+            .iter()
+            .map(|v| (v.analysis.name(), v.parallelizable))
+            .collect();
+        let want: Vec<(String, bool)> = COLUMNS
+            .iter()
+            .map(|c| c.to_string())
+            .zip(licensed)
+            .collect();
+        assert_eq!(got, want, "{name}");
     }
 }
 
@@ -64,19 +60,15 @@ fn ladder_matrix_matches_the_papers_motivation() {
 fn adds_dominates_every_baseline_on_the_ladder() {
     // The declared approach must never lose to a declaration-free one —
     // the paper's central claim, as a property of the implementations.
-    for (name, src, func) in programs::ladder_programs() {
-        let adds_ok = adds(src, func);
-        for mode in [
-            Mode::Blob,
-            Mode::KLimit(1),
-            Mode::KLimit(3),
-            Mode::AllocSite,
-        ] {
-            let prior_ok = prior(src, func, mode);
+    for row in ladder::rows(&[1, 3]) {
+        let (adds, baselines) = row.verdicts.split_last().expect("rungs");
+        assert_eq!(adds.analysis, Analysis::AddsGpm);
+        for prior in baselines {
             assert!(
-                adds_ok || !prior_ok,
-                "{name}: {} proves what ADDS cannot",
-                mode.name()
+                adds.parallelizable || !prior.parallelizable,
+                "{}: {} proves what ADDS cannot",
+                row.program,
+                prior.analysis.name()
             );
         }
     }
@@ -95,7 +87,8 @@ fn baselines_never_parallelize_the_papers_own_fragment() {
         Mode::KLimit(3),
         Mode::AllocSite,
     ] {
-        assert!(!prior(programs::PARAM_SCALE, "scale", mode));
+        let verdict = walk_verdict(programs::PARAM_SCALE, "scale", Analysis::Baseline(mode));
+        assert!(!verdict.expect("walk loop judged").parallelizable);
     }
 }
 
