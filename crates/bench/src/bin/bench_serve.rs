@@ -3,16 +3,17 @@
 //! cold vs warm cache, closed- vs open-loop arrival, and a many-
 //! connection soak against the event-driven reactor engine.
 //!
-//! Writes `BENCH_serve.json` (schema `adds.bench-serve/v4`) next to
+//! Writes `BENCH_serve.json` (schema `adds.bench-serve/v5`) next to
 //! `BENCH_machine.json` so the repository carries a service-layer
-//! perf-trajectory baseline. `/v2` added the `instrumentation` section
-//! (metrics on vs off, pinned ≤ 2%); `/v3` added `host_cpus`, per-jobs
-//! cold rows, and the serial-vs-parallel `parallel` section; `/v4` adds
-//! per-row `latency_us` percentiles, the `open_loop` section (arrivals
-//! scheduled at a fixed rate — latency is measured from the *scheduled*
-//! send time, so queueing delay is not coordinated away), and the `soak`
-//! section (thousands of concurrent keep-alive connections with churn,
-//! probed for tail latency while the reactor holds them all):
+//! perf-trajectory baseline. `/v3` added `host_cpus`, per-jobs cold rows,
+//! and the serial-vs-parallel `parallel` section; `/v4` added per-row
+//! `latency_us` percentiles, the `open_loop` section (arrivals scheduled
+//! at a fixed rate — latency is measured from the *scheduled* send time,
+//! so queueing delay is not coordinated away), and the `soak` section
+//! (thousands of concurrent keep-alive connections with churn, probed for
+//! tail latency while the reactor holds them all); `/v5` drops `/v2`'s
+//! `instrumentation` section, which timed the server with its metrics
+//! switched off, a configuration the server no longer has:
 //!
 //! ```text
 //! cargo run --release -p adds-bench --bin bench_serve               # regen
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const OUT_PATH: &str = "BENCH_serve.json";
-const SCHEMA: &str = "adds.bench-serve/v4";
+const SCHEMA: &str = "adds.bench-serve/v5";
 const JOBS: usize = 4;
 const CLIENT_THREADS: usize = 4;
 const WARM_REQUESTS: usize = 200;
@@ -80,21 +81,14 @@ const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 const KEEPALIVE_RECONNECT: usize = 250;
 
 fn spawn_server() -> ServerHandle {
-    spawn_server_with(true)
-}
-
-/// `instrument: false` is the bare baseline for the overhead row — no
-/// latency histograms, gauges, or span checks on the request path.
-fn spawn_server_with(instrument: bool) -> ServerHandle {
-    spawn_server_jobs(JOBS, instrument)
+    spawn_server_jobs(JOBS)
 }
 
 /// A server at an explicit fan-out width (the serial-vs-parallel rows).
-fn spawn_server_jobs(jobs: usize, instrument: bool) -> ServerHandle {
+fn spawn_server_jobs(jobs: usize) -> ServerHandle {
     let opts = ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         jobs,
-        instrument,
         ..ServeOptions::default()
     };
     Server::bind(&opts)
@@ -297,23 +291,6 @@ impl Row {
     }
 }
 
-/// The instrumentation-overhead measurement: the same keep-alive healthz
-/// volley against a bare (`instrument: false`) and a default
-/// (instrumented, tracing off) server.
-struct Overhead {
-    requests: usize,
-    bare_ns: u64,
-    instrumented_ns: u64,
-}
-
-impl Overhead {
-    /// Percentage the instrumented volley is slower than bare (negative
-    /// when measurement noise favours the instrumented run).
-    fn pct(&self) -> f64 {
-        (self.instrumented_ns as f64 - self.bare_ns as f64) / self.bare_ns.max(1) as f64 * 100.0
-    }
-}
-
 /// The serial-vs-parallel cold-batch comparison, summarized so `--check`
 /// can enforce the speedup without re-deriving it from rows.
 struct Parallel {
@@ -362,42 +339,6 @@ struct Soak {
     probe_requests: usize,
     total_ns: u64,
     lat: Latency,
-}
-
-/// Volley size and rep count for the overhead pin. Larger and more
-/// repeated than the throughput rows: the overhead ratio divides two
-/// noisy numbers, so each side needs a volley long enough to amortize
-/// scheduler jitter and enough reps for the min to reach the true floor.
-/// 1000 keeps each client connection under the server's 256-request
-/// keep-alive cap (4 client threads, one connection each).
-const OVERHEAD_REQUESTS: usize = 1_000;
-const OVERHEAD_REPS: usize = 15;
-
-/// Min-of-reps keep-alive healthz volleys against a bare and an
-/// instrumented server, interleaved rep by rep so slow host-load drift
-/// lands on both flavours equally instead of biasing whichever side
-/// happened to run later.
-fn measure_overhead() -> Overhead {
-    let bare = spawn_server_with(false);
-    let instrumented = spawn_server_with(true);
-    let sample = |server: &ServerHandle| {
-        volley_keepalive(server.addr(), "GET", "/healthz", b"", OVERHEAD_REQUESTS).0
-    };
-    // Discarded warm-up volley per server.
-    sample(&bare);
-    sample(&instrumented);
-    let (mut bare_ns, mut instrumented_ns) = (u64::MAX, u64::MAX);
-    for _ in 0..OVERHEAD_REPS {
-        bare_ns = bare_ns.min(sample(&bare));
-        instrumented_ns = instrumented_ns.min(sample(&instrumented));
-    }
-    bare.stop();
-    instrumented.stop();
-    Overhead {
-        requests: OVERHEAD_REQUESTS,
-        bare_ns,
-        instrumented_ns,
-    }
 }
 
 /// Min-of-reps wrapper keeping the latency samples of the fastest rep.
@@ -451,7 +392,7 @@ fn measure() -> Vec<Row> {
     // request). A fresh server per rep keeps every rep genuinely cold.
     for (jobs, mode) in [(1usize, "cold@jobs=1"), (JOBS, "cold@jobs=4")] {
         let (cold_ns, lat) = best_of(REPS, || {
-            let server = spawn_server_jobs(jobs, true);
+            let server = spawn_server_jobs(jobs);
             let mut total = 0u64;
             let mut lat = Vec::new();
             for e in corpus::CORPUS {
@@ -487,7 +428,7 @@ fn measure() -> Vec<Row> {
     };
     for (jobs, mode) in [(1usize, "cold@jobs=1"), (JOBS, "cold@jobs=4")] {
         let (batch_ns, lat) = best_of(REPS, || {
-            let server = spawn_server_jobs(jobs, true);
+            let server = spawn_server_jobs(jobs);
             let t0 = Instant::now();
             request(server.addr(), "POST", "/v1/batch", batch_body.as_bytes());
             let ns = t0.elapsed().as_nanos() as u64;
@@ -757,13 +698,7 @@ fn run_soak(conns_target: usize, secs: u64) -> Soak {
     }
 }
 
-fn render(
-    rows: &[Row],
-    overhead: &Overhead,
-    parallel: &Parallel,
-    open_loop: &OpenLoop,
-    soak: &Soak,
-) -> String {
+fn render(rows: &[Row], parallel: &Parallel, open_loop: &OpenLoop, soak: &Soak) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
@@ -776,14 +711,6 @@ fn render(
     let _ = writeln!(s, "    \"serial_ns\": {},", parallel.serial_ns);
     let _ = writeln!(s, "    \"parallel_ns\": {},", parallel.parallel_ns);
     let _ = writeln!(s, "    \"speedup\": {:.2}", parallel.speedup());
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"instrumentation\": {{");
-    let _ = writeln!(s, "    \"endpoint\": \"healthz\",");
-    let _ = writeln!(s, "    \"mode\": \"keepalive\",");
-    let _ = writeln!(s, "    \"requests\": {},", overhead.requests);
-    let _ = writeln!(s, "    \"bare_ns\": {},", overhead.bare_ns);
-    let _ = writeln!(s, "    \"instrumented_ns\": {},", overhead.instrumented_ns);
-    let _ = writeln!(s, "    \"overhead_pct\": {:.2}", overhead.pct());
     let _ = writeln!(s, "  }},");
     let _ = writeln!(s, "  \"open_loop\": {{");
     let _ = writeln!(s, "    \"endpoint\": \"healthz\",");
@@ -835,11 +762,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"requests_per_sec\"",
     "\"latency_us\"",
 ];
-
-/// The instrumentation-overhead ceiling `--check` enforces on the
-/// committed baseline: metrics recording must stay within 2% of bare on
-/// the healthz floor.
-const MAX_OVERHEAD_PCT: f64 = 2.0;
 
 /// The cold-batch speedup floor at 4 workers. Only enforced when the
 /// baseline was measured on a host with ≥ [`JOBS`] CPUs — a narrower box
@@ -918,14 +840,6 @@ fn check(path: &str) -> Result<(), String> {
         return Err(format!(
             "`{path}` has {populated} rows with populated ordered percentiles, need >= 2 — \
              the latency capture is broken; regenerate"
-        ));
-    }
-    let overhead = json_number(&text, "overhead_pct")
-        .ok_or(format!("`{path}` carries no parseable overhead_pct"))?;
-    if overhead > MAX_OVERHEAD_PCT {
-        return Err(format!(
-            "`{path}` pins instrumentation overhead at {overhead:.2}% > {MAX_OVERHEAD_PCT}% — \
-             the disabled-instrumentation path regressed; profile it before re-baselining"
         ));
     }
     // The `parallel` section: shape always, ratio only when the baseline
@@ -1045,7 +959,6 @@ fn main() {
         return;
     }
     let rows = measure();
-    let overhead = measure_overhead();
     let floor_rps = rows
         .iter()
         .find(|r| r.endpoint == "healthz" && r.mode == "floor")
@@ -1098,12 +1011,6 @@ fn main() {
         );
     }
     println!(
-        "instrumentation overhead (healthz keepalive): {:.2}% (bare {} ns, instrumented {} ns)",
-        overhead.pct(),
-        overhead.bare_ns,
-        overhead.instrumented_ns
-    );
-    println!(
         "cold batch speedup at {JOBS} workers: {:.2}x on {} cpus (serial {} ns, parallel {} ns)",
         parallel.speedup(),
         parallel.host_cpus,
@@ -1121,7 +1028,7 @@ fn main() {
         "soak: {} connections (peak open {}), {} churned, {} probes",
         soak.connections, soak.peak_open, soak.churned, soak.probe_requests
     );
-    let doc = render(&rows, &overhead, &parallel, &open_loop, &soak);
+    let doc = render(&rows, &parallel, &open_loop, &soak);
     std::fs::write(OUT_PATH, &doc).expect("write BENCH_serve.json");
     println!("wrote {OUT_PATH}");
 }

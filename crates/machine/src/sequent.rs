@@ -2,10 +2,10 @@
 //! whole IL workloads (notably the Barnes–Hut tree-code of §4) under the
 //! cycle model and reports simulated times.
 //!
-//! This is the substitute for the paper's Sequent hardware (see DESIGN.md
-//! §5): deterministic, parameterized by PE count and synchronization cost,
-//! with static strip scheduling — the same mechanisms that shaped the
-//! paper's measured speedups.
+//! This is the substitute for the paper's Sequent hardware (its cycle
+//! costs are in [`crate::cost`]): deterministic, parameterized by PE count
+//! and synchronization cost, with static strip scheduling — the same
+//! mechanisms that shaped the paper's measured speedups.
 
 use crate::compile::CompiledProgram;
 use crate::cost::CostModel;

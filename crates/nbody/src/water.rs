@@ -14,10 +14,10 @@
 //! counterpoint: asymptotically better, but its parallelization needs the
 //! shape knowledge ADDS provides.
 //!
-//! Simplifications relative to real SPLASH Water (documented per
-//! DESIGN.md §5): point molecules with a truncated-shifted Lennard-Jones
-//! pair potential and velocity-Verlet integration, instead of rigid
-//! three-site molecules with a predictor–corrector. The array layout, the
+//! Simplifications relative to real SPLASH Water: point molecules with a
+//! truncated-shifted Lennard-Jones pair potential and velocity-Verlet
+//! integration, instead of rigid three-site molecules with a
+//! predictor–corrector. The array layout, the
 //! O(N²) doubly nested force loop, and the slice-parallel decomposition —
 //! the properties the paper's aside concerns — are preserved.
 

@@ -1,15 +1,22 @@
-//! The demand-driven **analysis database**: every pipeline layer —
-//! parse → typecheck → ADDS declarations → effect summaries → per-loop
-//! verdicts → transform → machine compile → run — is a memoized query
-//! over source bytes, individually cached under the
-//! `(sha256(source), fingerprint)` contract of [`crate::cache`].
+//! The demand-driven **analysis database**: the pipeline — parse →
+//! typecheck → ADDS declarations → analysis fixpoints → per-loop
+//! dependence checks → transform → machine compile → run — as queries
+//! over source bytes. A layer gets a cache, under the
+//! `(sha256(source), fingerprint)` contract of [`crate::cache`], only when
+//! two queries read it: `parsed`, `typed`, `analyzed`, `transformed` and
+//! `compiled` are cached artifacts, and the stage reports and runs are
+//! cached per request, over an optional disk tier. The leaves that one
+//! report alone reads — the `parse` report's round trip, the `check`
+//! report's ADDS declaration summary and each function's loop `effects`
+//! in the `analyze` report — are computed inside that report.
 //!
 //! Queries pull their inputs from the queries they depend on (the
 //! dependency graph is the fingerprint composition in
 //! [`crate::fingerprint`]), so a warm `parallelize` after an `analyze`
 //! reuses the parsed AST, the typed program, and the analysis fixpoints
-//! instead of recomputing them — the per-digest compute counters
-//! ([`AnalysisDb::computes`]) make that property testable.
+//! instead of recomputing them. Every layer, cached or not, counts its
+//! computes per digest ([`AnalysisDb::computes`]), which makes that
+//! property testable, times them, and opens its `query.<layer>` span.
 //!
 //! Failed upstream computations are artifacts too: a parse error is
 //! cached once as a [`Failure`] and every downstream query of the same
@@ -24,7 +31,6 @@ use crate::report::{
 };
 use crate::runner::{ParRun, RunOptions, RunReport, CLOUD_SEED};
 use crate::session::Stage;
-use adds_core::depend::LoopCheck;
 use adds_lang::adds::AddsFieldKind;
 use adds_lang::ast::{Direction, Program};
 use adds_lang::source::line_col;
@@ -80,18 +86,17 @@ pub struct Analyzed(pub adds_core::Compiled);
 pub enum QueryKind {
     /// `parsed(src)`
     Parsed,
-    /// `roundtrip(src)`
+    /// The `parse` report's print→parse round trip (uncached).
     Roundtrip,
     /// `typed(src)`
     Typed,
-    /// `adds_decls(src)`
+    /// The `check` report's ADDS declaration summary (uncached).
     AddsDecls,
     /// `analyzed(src)`
     Analyzed,
-    /// `effects(src, fn)`
+    /// One function's loop checks in the `analyze` report (uncached: one
+    /// compute per analyzed function).
     Effects,
-    /// `loop_verdict(src, fn, i)`
-    LoopVerdict,
     /// `transformed(src)`
     Transformed,
     /// `compiled(src)`
@@ -111,7 +116,6 @@ impl QueryKind {
         QueryKind::AddsDecls,
         QueryKind::Analyzed,
         QueryKind::Effects,
-        QueryKind::LoopVerdict,
         QueryKind::Transformed,
         QueryKind::Compiled,
         QueryKind::Run,
@@ -127,7 +131,6 @@ impl QueryKind {
             QueryKind::AddsDecls => "adds_decls",
             QueryKind::Analyzed => "analyzed",
             QueryKind::Effects => "effects",
-            QueryKind::LoopVerdict => "loop_verdicts",
             QueryKind::Transformed => "transformed",
             QueryKind::Compiled => "compiled",
             QueryKind::Run => "runs",
@@ -145,7 +148,6 @@ impl QueryKind {
             QueryKind::AddsDecls => "query.adds_decls",
             QueryKind::Analyzed => "query.analyzed",
             QueryKind::Effects => "query.effects",
-            QueryKind::LoopVerdict => "query.loop_verdicts",
             QueryKind::Transformed => "query.transformed",
             QueryKind::Compiled => "query.compiled",
             QueryKind::Run => "query.runs",
@@ -205,6 +207,31 @@ impl ComputeCounters {
     }
 }
 
+/// How a request-level layer's values are written to and read back from
+/// the persistent tier.
+struct Codec<V> {
+    encode: fn(&V) -> Vec<u8>,
+    decode: fn(&[u8]) -> Option<V>,
+}
+
+const REPORT_CODEC: Codec<ProgramReport> = Codec {
+    encode: crate::persist::encode_report,
+    decode: crate::persist::decode_report,
+};
+
+const RUN_CODEC: Codec<Result<RunReport, String>> = Codec {
+    encode: crate::persist::encode_run,
+    decode: crate::persist::decode_run,
+};
+
+/// Where a cached layer keeps its values: its cache, the fingerprint that
+/// keys it, and, for a request-level layer, the store codec.
+struct Cached<'a, V> {
+    cache: &'a Cache<V>,
+    fingerprint: &'a str,
+    codec: Option<&'a Codec<V>>,
+}
+
 /// The shared cache bank behind one or more databases (a forked database
 /// with bumped [`Versions`] reuses the same bank; see
 /// [`AnalysisDb::fork_with_versions`]).
@@ -221,12 +248,8 @@ struct Caches {
     /// `/v1/metrics` can rank layers by where time actually goes.
     durations: [Histogram; QueryKind::ALL.len()],
     parsed: Cache<Result<Program, Failure>>,
-    roundtrip: Cache<Result<ParseReport, Failure>>,
     typed: Cache<Result<TypedProgram, Failure>>,
-    adds_decls: Cache<Result<CheckReport, Failure>>,
     analyzed: Cache<Result<Analyzed, Failure>>,
-    effects: Cache<Result<Vec<LoopCheck>, Failure>>,
-    verdicts: Cache<Result<Option<LoopCheck>, Failure>>,
     transformed: Cache<Result<TransformReport, Failure>>,
     compiled: Cache<Result<CompiledProgram, Failure>>,
     runs: Cache<Result<RunReport, String>>,
@@ -253,21 +276,17 @@ impl Caches {
             // tier could have answered.
             let sink = Arc::clone(store);
             reports.set_evict_hook(Arc::new(move |digest, fp, value| {
-                sink.put(&digest.0, fp, &crate::persist::encode_report(value));
+                sink.put(&digest.0, fp, &(REPORT_CODEC.encode)(value));
             }));
             let sink = Arc::clone(store);
             runs.set_evict_hook(Arc::new(move |digest, fp, value| {
-                sink.put(&digest.0, fp, &crate::persist::encode_run(value));
+                sink.put(&digest.0, fp, &(RUN_CODEC.encode)(value));
             }));
         }
         Caches {
             parsed: make(&artifact_stats, capacity),
-            roundtrip: make(&artifact_stats, capacity),
             typed: make(&artifact_stats, capacity),
-            adds_decls: make(&artifact_stats, capacity),
             analyzed: make(&artifact_stats, capacity),
-            effects: make(&artifact_stats, capacity),
-            verdicts: make(&artifact_stats, capacity),
             transformed: make(&artifact_stats, capacity),
             compiled: make(&artifact_stats, capacity),
             runs,
@@ -302,32 +321,23 @@ impl Default for AnalysisDb {
 }
 
 impl AnalysisDb {
-    /// An unbounded database under the default fingerprint [`Versions`].
+    /// An unbounded database under the default fingerprint [`Versions`],
+    /// with one fan-out worker per core and no persistent tier.
     pub fn new() -> AnalysisDb {
-        AnalysisDb::with_capacity(0)
+        AnalysisDb::with_store(0, 0, None)
     }
 
     /// A database whose caches hold at most ~`capacity` entries each
-    /// (0 = unbounded), evicting CLOCK-style.
-    pub fn with_capacity(capacity: usize) -> AnalysisDb {
-        AnalysisDb::with_options(capacity, 0)
-    }
-
-    /// A database with an explicit cache capacity and fan-out worker
-    /// budget (`jobs`; 0 = one per core, 1 = fully serial evaluation).
+    /// (0 = unbounded), evicting CLOCK-style, with a fan-out worker budget
+    /// (`jobs`; 0 = one per core, 1 = fully serial evaluation) and an
+    /// optional persistent second tier under the request-level caches.
     /// The budget only affects wall-clock: reports are byte-identical at
-    /// every value.
-    pub fn with_options(capacity: usize, jobs: usize) -> AnalysisDb {
-        AnalysisDb::with_store(capacity, jobs, None)
-    }
-
-    /// A database with an optional persistent second tier under the
-    /// request-level caches. With a store, a report/run miss probes disk
-    /// before recomputing (and promotes the hit into RAM), every compute
-    /// writes behind into the store's pending buffer, and evicted entries
-    /// flush through it — so a restart serves warm, byte-identical
-    /// answers. Persistence is invisible in report bytes: a disk hit and
-    /// a recompute are indistinguishable except in the counters.
+    /// every value. With a store, a report/run miss probes disk before
+    /// recomputing (and promotes the hit into RAM), every compute writes
+    /// behind into the store's pending buffer, and evicted entries flush
+    /// through it — so a restart serves warm, byte-identical answers.
+    /// Persistence is invisible in report bytes: a disk hit and a
+    /// recompute are indistinguishable except in the counters.
     pub fn with_store(capacity: usize, jobs: usize, store: Option<Arc<Store>>) -> AnalysisDb {
         AnalysisDb {
             fp: Arc::new(Fingerprints::default()),
@@ -400,15 +410,7 @@ impl AnalysisDb {
     /// Completed + in-flight entries in the artifact caches.
     pub fn artifact_entries(&self) -> usize {
         let c = &self.caches;
-        c.parsed.len()
-            + c.roundtrip.len()
-            + c.typed.len()
-            + c.adds_decls.len()
-            + c.analyzed.len()
-            + c.effects.len()
-            + c.verdicts.len()
-            + c.transformed.len()
-            + c.compiled.len()
+        c.parsed.len() + c.typed.len() + c.analyzed.len() + c.transformed.len() + c.compiled.len()
     }
 
     /// How many times `kind` was *computed* (not served from cache) for
@@ -435,75 +437,30 @@ impl AnalysisDb {
         &self.caches.durations[kind as usize]
     }
 
-    fn counted<V>(
+    /// Answer one layer for `digest` inside its `query.<layer>` span,
+    /// tagged with the outcome. A cached layer is answered from RAM, then
+    /// from disk when it has a codec, before `f` runs; a layer with one
+    /// reader passes `None` and always runs `f`. Only `f` is analysis
+    /// work: it alone bumps the compute counters and the duration
+    /// histogram.
+    fn query<V>(
         &self,
-        cache: &Cache<V>,
         kind: QueryKind,
         digest: Digest,
-        fingerprint: &str,
+        cached: Option<Cached<V>>,
         f: impl FnOnce() -> V,
     ) -> (Arc<V>, Outcome) {
         let mut span = trace::span(kind.span_name(), "query");
-        let (value, outcome) = cache.get_or_compute(digest, fingerprint, || {
+        let compute = || {
             self.caches.counters.bump(kind, digest);
             let started = std::time::Instant::now();
             let v = f();
             self.caches.durations[kind as usize].record(started.elapsed().as_micros() as u64);
             v
-        });
-        if let Some(s) = span.as_mut() {
-            s.arg("layer", kind.name());
-            s.arg("digest", &digest.hex()[..8]);
-            s.arg("outcome", outcome.name());
-        }
-        (value, outcome)
-    }
-
-    /// [`AnalysisDb::counted`] with the persistent tier underneath: a RAM
-    /// miss probes the store (decoding the record back into the cached
-    /// value) before paying for a recompute, and a real compute writes
-    /// behind into the store's pending buffer. Disk loads bump neither
-    /// compute counters nor duration histograms — they are cache traffic,
-    /// not analysis work — and surface as [`Outcome::Disk`].
-    #[allow(clippy::too_many_arguments)]
-    fn counted_tiered<V>(
-        &self,
-        cache: &Cache<V>,
-        kind: QueryKind,
-        digest: Digest,
-        fingerprint: &str,
-        decode: impl Fn(&[u8]) -> Option<V>,
-        encode: impl Fn(&V) -> Vec<u8>,
-        f: impl FnOnce() -> V,
-    ) -> (Arc<V>, Outcome) {
-        let mut span = trace::span(kind.span_name(), "query");
-        let from_disk = std::cell::Cell::new(false);
-        let (value, outcome) = cache.get_or_compute(digest, fingerprint, || {
-            if let Some(store) = &self.caches.store {
-                if let Some(bytes) = store.get(&digest.0, fingerprint) {
-                    if let Some(v) = decode(&bytes) {
-                        from_disk.set(true);
-                        return v;
-                    }
-                }
-            }
-            self.caches.counters.bump(kind, digest);
-            let started = std::time::Instant::now();
-            let v = f();
-            self.caches.durations[kind as usize].record(started.elapsed().as_micros() as u64);
-            if let Some(store) = &self.caches.store {
-                store.put(&digest.0, fingerprint, &encode(&v));
-            }
-            v
-        });
-        let outcome = if from_disk.get() {
-            cache
-                .stats()
-                .disk_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Outcome::Disk
-        } else {
-            outcome
+        };
+        let (value, outcome) = match cached {
+            Some(cached) => self.lookup(cached, digest, compute),
+            None => (Arc::new(compute()), Outcome::Miss),
         };
         if let Some(s) = span.as_mut() {
             s.arg("layer", kind.name());
@@ -513,155 +470,110 @@ impl AnalysisDb {
         (value, outcome)
     }
 
+    /// The one cache lookup path: RAM, then the store when a `codec` is
+    /// given and one is configured, and only then `compute`, whose value
+    /// a tiered layer writes behind into the store's pending buffer. A
+    /// disk load promotes into RAM and surfaces as [`Outcome::Disk`].
+    fn lookup<V>(
+        &self,
+        cached: Cached<V>,
+        digest: Digest,
+        compute: impl FnOnce() -> V,
+    ) -> (Arc<V>, Outcome) {
+        let (cache, fingerprint) = (cached.cache, cached.fingerprint);
+        let tier = self.caches.store.as_deref().zip(cached.codec);
+        let from_disk = std::cell::Cell::new(false);
+        let (value, outcome) = cache.get_or_compute(digest, fingerprint, || {
+            if let Some((store, codec)) = tier {
+                let stored = store.get(&digest.0, fingerprint);
+                if let Some(v) = stored.and_then(|bytes| (codec.decode)(&bytes)) {
+                    from_disk.set(true);
+                    return v;
+                }
+            }
+            let v = compute();
+            if let Some((store, codec)) = tier {
+                store.put(&digest.0, fingerprint, &(codec.encode)(&v));
+            }
+            v
+        });
+        if !from_disk.get() {
+            return (value, outcome);
+        }
+        cache
+            .stats()
+            .disk_hits
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        (value, Outcome::Disk)
+    }
+
+    /// A cached artifact layer over the bytes of `src`.
+    fn artifact<V>(
+        &self,
+        cache: &Cache<V>,
+        kind: QueryKind,
+        fingerprint: &str,
+        src: &str,
+        f: impl FnOnce() -> V,
+    ) -> Arc<V> {
+        let cached = Cached {
+            cache,
+            fingerprint,
+            codec: None,
+        };
+        self.query(kind, sha256(src.as_bytes()), Some(cached), f).0
+    }
+
     // ----------------------------------------------------- artifact queries
 
     /// `parsed(src)`: source → AST.
     pub fn parsed(&self, src: &str) -> QueryResult<Program> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.parsed,
-            QueryKind::Parsed,
-            digest,
-            &self.fp.parsed,
-            || adds_lang::parse_program(src).map_err(|d| Failure::of_one(&d, src)),
-        )
-        .0
-    }
-
-    /// `roundtrip(src)`: pretty-print the AST and verify the
-    /// print→parse→print fixpoint (the `parse` report section).
-    pub fn roundtrip(&self, src: &str) -> QueryResult<ParseReport> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.roundtrip,
-            QueryKind::Roundtrip,
-            digest,
-            &self.fp.roundtrip,
-            || {
-                let program = self.parsed(src);
-                let program = match &*program {
-                    Ok(p) => p.clone(),
-                    Err(f) => return Err(f.clone()),
-                };
-                let pretty = adds_lang::pretty::program(&program);
-                let roundtrip_stable = match adds_lang::parse_program(&pretty) {
-                    Ok(p2) => adds_lang::pretty::program(&p2) == pretty,
-                    Err(_) => false,
-                };
-                Ok(ParseReport {
-                    pretty,
-                    roundtrip_stable,
-                })
-            },
-        )
-        .0
+        let c = &self.caches;
+        self.artifact(&c.parsed, QueryKind::Parsed, &self.fp.parsed, src, || {
+            adds_lang::parse_program(src).map_err(|d| Failure::of_one(&d, src))
+        })
     }
 
     /// `typed(src)`: ADDS resolution + type check over the parsed AST.
     pub fn typed(&self, src: &str) -> QueryResult<TypedProgram> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.typed,
-            QueryKind::Typed,
-            digest,
-            &self.fp.typed,
-            || {
-                let program = self.parsed(src);
-                let program = match &*program {
-                    Ok(p) => p.clone(),
-                    Err(f) => return Err(f.clone()),
-                };
-                adds_lang::check(program).map_err(|d| Failure::of(&d, src))
-            },
-        )
-        .0
-    }
-
-    /// `adds_decls(src)`: the resolved ADDS declaration summary (the
-    /// `check` report section).
-    pub fn adds_decls(&self, src: &str) -> QueryResult<CheckReport> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.adds_decls,
-            QueryKind::AddsDecls,
-            digest,
-            &self.fp.adds_decls,
-            || match &*self.typed(src) {
-                Ok(tp) => Ok(check_report(tp)),
+        let c = &self.caches;
+        self.artifact(&c.typed, QueryKind::Typed, &self.fp.typed, src, || {
+            let parsed = self.parsed(src);
+            match &*parsed {
+                Ok(p) => adds_lang::check(p.clone()).map_err(|d| Failure::of(&d, src)),
                 Err(f) => Err(f.clone()),
-            },
-        )
-        .0
+            }
+        })
     }
 
     /// `analyzed(src)`: effect summaries + path-matrix fixpoints for every
     /// function (the `core::compile` artifact).
     pub fn analyzed(&self, src: &str) -> QueryResult<Analyzed> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.analyzed,
+        let c = &self.caches;
+        self.artifact(
+            &c.analyzed,
             QueryKind::Analyzed,
-            digest,
             &self.fp.analyzed,
-            || match &*self.typed(src) {
-                Ok(tp) => Ok(Analyzed(adds_core::driver::compile_typed(tp.clone()))),
-                Err(f) => Err(f.clone()),
+            src,
+            || {
+                let typed = self.typed(src);
+                match &*typed {
+                    Ok(tp) => Ok(Analyzed(adds_core::driver::compile_typed(tp.clone()))),
+                    Err(f) => Err(f.clone()),
+                }
             },
         )
-        .0
-    }
-
-    /// `effects(src, func)`: per-loop dependence checks (chase pattern,
-    /// verdict, reasons, composed effect summary) for one function.
-    pub fn effects(&self, src: &str, func: &str) -> QueryResult<Vec<LoopCheck>> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.effects,
-            QueryKind::Effects,
-            digest,
-            &self.fp.effects(func),
-            || match &*self.analyzed(src) {
-                Ok(Analyzed(c)) => Ok(match c.analysis(func) {
-                    Some(an) => adds_core::check_function(&c.tp, &c.summaries, an, func),
-                    None => Vec::new(),
-                }),
-                Err(f) => Err(f.clone()),
-            },
-        )
-        .0
-    }
-
-    /// `loop_verdict(src, func, index)`: the verdict for the `index`-th
-    /// `while` loop of `func` in source order (`None` when out of range).
-    pub fn loop_verdict(
-        &self,
-        src: &str,
-        func: &str,
-        index: usize,
-    ) -> QueryResult<Option<LoopCheck>> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.verdicts,
-            QueryKind::LoopVerdict,
-            digest,
-            &self.fp.loop_verdict(func, index),
-            || match &*self.effects(src, func) {
-                Ok(checks) => Ok(checks.get(index).cloned()),
-                Err(f) => Err(f.clone()),
-            },
-        )
-        .0
     }
 
     /// `transformed(src)`: strip-mine every licensed loop and prove the
     /// emitted source re-checks (the `parallelize` report section).
     pub fn transformed(&self, src: &str) -> QueryResult<TransformReport> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.transformed,
+        let c = &self.caches;
+        self.artifact(
+            &c.transformed,
             QueryKind::Transformed,
-            digest,
             &self.fp.transformed,
+            src,
             || {
                 let analyzed = self.analyzed(src);
                 let Analyzed(c) = match &*analyzed {
@@ -706,24 +618,25 @@ impl AnalysisDb {
                 })
             },
         )
-        .0
     }
 
     /// `compiled(src)`: the typed program lowered once to slot-resolved
     /// machine bytecode, shared by every simulation of the same bytes.
     pub fn compiled(&self, src: &str) -> QueryResult<CompiledProgram> {
-        let digest = sha256(src.as_bytes());
-        self.counted(
-            &self.caches.compiled,
+        let c = &self.caches;
+        self.artifact(
+            &c.compiled,
             QueryKind::Compiled,
-            digest,
             &self.fp.compiled,
-            || match &*self.typed(src) {
-                Ok(tp) => Ok(CompiledProgram::compile(tp)),
-                Err(f) => Err(f.clone()),
+            src,
+            || {
+                let typed = self.typed(src);
+                match &*typed {
+                    Ok(tp) => Ok(CompiledProgram::compile(tp)),
+                    Err(f) => Err(f.clone()),
+                }
             },
         )
-        .0
     }
 
     // ------------------------------------------------ request-level queries
@@ -741,16 +654,14 @@ impl AnalysisDb {
     ) -> (Digest, Arc<Result<RunReport, String>>, Outcome) {
         let digest = sha256(src.as_bytes());
         let fingerprint = self.fp.run_report(opts);
-        let opts = opts.clone();
-        let (result, outcome) = self.counted_tiered(
-            &self.caches.runs,
-            QueryKind::Run,
-            digest,
-            &fingerprint,
-            crate::persist::decode_run,
-            crate::persist::encode_run,
-            || self.run_uncached(src, &digest.hex(), &opts),
-        );
+        let cached = Cached {
+            cache: &self.caches.runs,
+            fingerprint: &fingerprint,
+            codec: Some(&RUN_CODEC),
+        };
+        let (result, outcome) = self.query(QueryKind::Run, digest, Some(cached), || {
+            self.run_uncached(src, &digest.hex(), opts)
+        });
         (digest, result, outcome)
     }
 
@@ -855,15 +766,14 @@ impl AnalysisDb {
     ) -> (Digest, Arc<ProgramReport>, Outcome) {
         let digest = sha256(src.as_bytes());
         let fingerprint = self.fp.stage_report(stage, matrices);
-        let (report, outcome) = self.counted_tiered(
-            &self.caches.reports,
-            QueryKind::Report,
-            digest,
-            &fingerprint,
-            crate::persist::decode_report,
-            crate::persist::encode_report,
-            || self.compose_report(src, &digest.hex(), stage, matrices),
-        );
+        let cached = Cached {
+            cache: &self.caches.reports,
+            fingerprint: &fingerprint,
+            codec: Some(&REPORT_CODEC),
+        };
+        let (report, outcome) = self.query(QueryKind::Report, digest, Some(cached), || {
+            self.compose_report(src, digest, stage, matrices)
+        });
         (digest, report, outcome)
     }
 
@@ -884,7 +794,7 @@ impl AnalysisDb {
         }
         let store = self.caches.store.as_ref()?;
         let bytes = store.get(&digest.0, &fingerprint)?;
-        let report = crate::persist::decode_report(&bytes)?;
+        let report = (REPORT_CODEC.decode)(&bytes)?;
         self.caches
             .report_stats
             .disk_hits
@@ -898,9 +808,21 @@ impl AnalysisDb {
         Some(report)
     }
 
-    fn compose_report(&self, src: &str, name: &str, stage: Stage, matrices: bool) -> ProgramReport {
+    /// Build one stage report from the cached artifacts, computing the
+    /// layers that only this report reads — the round trip, the ADDS
+    /// declaration summary, each function's loop checks — under the
+    /// digest the report query already computed.
+    fn compose_report(
+        &self,
+        src: &str,
+        digest: Digest,
+        stage: Stage,
+        matrices: bool,
+    ) -> ProgramReport {
+        let name = digest.hex();
+        let failed = |f: &Failure| ProgramReport::failed(name.clone(), "file", f.rendered.clone());
         let mut report = ProgramReport {
-            name: name.to_string(),
+            name: name.clone(),
             origin: "file",
             ok: true,
             diagnostics: Vec::new(),
@@ -909,36 +831,48 @@ impl AnalysisDb {
             analyze: None,
             transform: None,
         };
-        let failed =
-            |f: &Failure| ProgramReport::failed(name.to_string(), "file", f.rendered.clone());
         match stage {
-            Stage::Parse => match &*self.roundtrip(src) {
-                Ok(p) => {
-                    report.ok = p.roundtrip_stable;
-                    report.parse = Some(p.clone());
+            Stage::Parse => {
+                let (parse, _) = self.query(QueryKind::Roundtrip, digest, None, || {
+                    match &*self.parsed(src) {
+                        Ok(program) => Ok(roundtrip(program)),
+                        Err(f) => Err(f.clone()),
+                    }
+                });
+                match &*parse {
+                    Ok(p) => {
+                        report.ok = p.roundtrip_stable;
+                        report.parse = Some(p.clone());
+                    }
+                    Err(f) => return failed(f),
                 }
-                Err(f) => return failed(f),
-            },
-            Stage::Check => match &*self.adds_decls(src) {
-                Ok(c) => report.check = Some(c.clone()),
-                Err(f) => return failed(f),
-            },
+            }
+            Stage::Check => {
+                let (check, _) = self.query(QueryKind::AddsDecls, digest, None, || {
+                    match &*self.typed(src) {
+                        Ok(tp) => Ok(check_report(tp)),
+                        Err(f) => Err(f.clone()),
+                    }
+                });
+                match &*check {
+                    Ok(c) => report.check = Some(c.clone()),
+                    Err(f) => return failed(f),
+                }
+            }
             Stage::Analyze => {
                 let analyzed = self.analyzed(src);
                 let Analyzed(c) = match &*analyzed {
                     Ok(a) => a,
                     Err(f) => return failed(f),
                 };
-                // Per-function `effects` queries are independent (the
-                // fingerprint graph says so); fan them out and merge in
-                // program order — the serial output order.
+                // Each function's loop checks read only the shared
+                // fixpoints; fan them out and merge in program order — the
+                // serial output order.
                 let per_func = self.par_map(&c.tp.program.funcs, |f| {
                     let an = c.analysis(&f.name)?;
-                    let checks = self.effects(src, &f.name);
-                    let checks = checks
-                        .as_ref()
-                        .as_ref()
-                        .expect("analyzed ok implies effects ok");
+                    let (checks, _) = self.query(QueryKind::Effects, digest, None, || {
+                        adds_core::check_function(&c.tp, &c.summaries, an, &f.name)
+                    });
                     let loops = checks
                         .iter()
                         .map(|c| LoopReport {
@@ -984,6 +918,20 @@ impl AnalysisDb {
             },
         }
         report
+    }
+}
+
+/// The `parse` report section: pretty-print the AST and verify the
+/// print→parse→print fixpoint.
+fn roundtrip(program: &Program) -> ParseReport {
+    let pretty = adds_lang::pretty::program(program);
+    let roundtrip_stable = match adds_lang::parse_program(&pretty) {
+        Ok(p2) => adds_lang::pretty::program(&p2) == pretty,
+        Err(_) => false,
+    };
+    ParseReport {
+        pretty,
+        roundtrip_stable,
     }
 }
 
@@ -1052,18 +1000,6 @@ mod tests {
         // Repeats are hits.
         let again = db.typed(src);
         assert!(Arc::ptr_eq(&typed, &again));
-    }
-
-    #[test]
-    fn loop_verdict_projects_effects() {
-        let db = AnalysisDb::new();
-        let src = programs::LIST_SCALE_ADDS;
-        let v = db.loop_verdict(src, "scale", 0);
-        let v = v.as_ref().as_ref().expect("checks");
-        let check = v.as_ref().expect("loop 0 exists");
-        assert!(check.parallelizable);
-        let missing = db.loop_verdict(src, "scale", 9);
-        assert!(missing.as_ref().as_ref().unwrap().is_none());
     }
 
     #[test]

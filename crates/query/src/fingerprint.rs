@@ -1,7 +1,7 @@
-//! The **query-fingerprint contract**: every memoized query is addressed
+//! The **query-fingerprint contract**: every cached query is addressed
 //! by `(sha256(source), fingerprint)`, and a query's fingerprint embeds
 //! its own `layer/version` token *plus the full fingerprints of the
-//! queries it depends on*. Bumping one layer's version therefore rewrites
+//! layers it depends on*. Bumping one layer's version therefore rewrites
 //! the keys of that layer and everything downstream of it — upstream
 //! entries stay valid — so schema changes self-invalidate per layer
 //! instead of flushing the whole cache.
@@ -9,16 +9,18 @@
 //! | query | fingerprint |
 //! |---|---|
 //! | `parsed` | `parsed/v1` |
-//! | `roundtrip` | `roundtrip/v1(parsed/v1)` |
 //! | `typed` | `typed/v1(parsed/v1)` |
-//! | `adds_decls` | `adds-decls/v1(typed/v1(parsed/v1))` |
 //! | `analyzed` | `analyzed/v1(typed/v1(parsed/v1))` |
-//! | `effects(fn)` | `effects/v1(analyzed/…)#fn=NAME` |
-//! | `loop_verdict(fn, i)` | `loop-verdict/v1(effects/…)#loop=NAME@i` |
 //! | `transformed` | `transformed/v1(analyzed/…,typed/…)` |
 //! | `compiled` | `machine-bytecode/v2(typed/…)` |
 //! | report (`parse` …) | `parse/v1(roundtrip/…)` etc., version from [`Stage::schema`] |
 //! | `run` | `run/v1(transformed/…,machine-bytecode/…):pes=…;bodies=…` |
+//!
+//! The layers that one report alone reads have no cache, but their tokens
+//! still sit inside that report's fingerprint — `roundtrip/v1(parsed/v1)`
+//! in `parse/v1(…)`, `adds-decls/v1(typed/…)` in `check/v1(…)`,
+//! `effects/v1(analyzed/…)` in `analyze/v2(…)` — so bumping one
+//! invalidates exactly the reports it shapes.
 //!
 //! Report-level versions are derived from the report schema tags
 //! (`adds.analyze/v2` → `analyze/v2`), so bumping a report schema still
@@ -45,8 +47,6 @@ pub struct Versions {
     pub analyzed: String,
     /// Per-function loop checks (`core::check_function`).
     pub effects: String,
-    /// Single-loop verdict projection.
-    pub loop_verdict: String,
     /// Strip-mined program + decisions.
     pub transformed: String,
     /// Machine bytecode artifact (tracks the VM's bytecode schema).
@@ -62,24 +62,23 @@ impl Default for Versions {
             adds_decls: "adds-decls/v1".into(),
             analyzed: "analyzed/v1".into(),
             effects: "effects/v1".into(),
-            loop_verdict: "loop-verdict/v1".into(),
             transformed: "transformed/v1".into(),
             machine: adds_machine::compile::BYTECODE_SCHEMA.into(),
         }
     }
 }
 
-/// The composed fingerprints of every query layer, precomputed once per
-/// database from a [`Versions`] table.
+/// The composed fingerprints of every layer, precomputed once per database
+/// from a [`Versions`] table.
 #[derive(Clone, Debug)]
 pub struct Fingerprints {
     /// `parsed/v1`
     pub parsed: String,
-    /// `roundtrip/v1(parsed/v1)`
+    /// `roundtrip/v1(parsed/v1)`, inside the `parse` report's fingerprint
     pub roundtrip: String,
     /// `typed/v1(parsed/v1)`
     pub typed: String,
-    /// `adds-decls/v1(typed/…)`
+    /// `adds-decls/v1(typed/…)`, inside the `check` report's fingerprint
     pub adds_decls: String,
     /// `analyzed/v1(typed/…)`
     pub analyzed: String,
@@ -87,8 +86,6 @@ pub struct Fingerprints {
     pub transformed: String,
     /// `machine-bytecode/v2(typed/…)`
     pub compiled: String,
-    effects_base: String,
-    loop_verdict_base: String,
     parse_report: String,
     check_report: String,
     analyze_report: String,
@@ -110,8 +107,7 @@ impl Fingerprints {
         let typed = format!("{}({parsed})", v.typed);
         let adds_decls = format!("{}({typed})", v.adds_decls);
         let analyzed = format!("{}({typed})", v.analyzed);
-        let effects_base = format!("{}({analyzed})", v.effects);
-        let loop_verdict_base = format!("{}({effects_base})", v.loop_verdict);
+        let effects = format!("{}({analyzed})", v.effects);
         // The transform emits new source and proves it re-checks, so it
         // depends on the typed layer as well as the analysis.
         let transformed = format!("{}({analyzed},{typed})", v.transformed);
@@ -120,7 +116,7 @@ impl Fingerprints {
         Fingerprints {
             parse_report: report(Stage::Parse, &roundtrip),
             check_report: report(Stage::Check, &adds_decls),
-            analyze_report: report(Stage::Analyze, &effects_base),
+            analyze_report: report(Stage::Analyze, &effects),
             parallelize_report: report(Stage::Parallelize, &transformed),
             run_base: format!(
                 "{}({transformed},{compiled})",
@@ -131,22 +127,9 @@ impl Fingerprints {
             typed,
             adds_decls,
             analyzed,
-            effects_base,
-            loop_verdict_base,
             transformed,
             compiled,
         }
-    }
-
-    /// The fingerprint of an `effects` query for one function.
-    pub fn effects(&self, func: &str) -> String {
-        format!("{}#fn={func}", self.effects_base)
-    }
-
-    /// The fingerprint of a `loop_verdict` query for one loop (the
-    /// `index`-th `while` of `func`, in source order).
-    pub fn loop_verdict(&self, func: &str, index: usize) -> String {
-        format!("{}#loop={func}@{index}", self.loop_verdict_base)
     }
 
     /// The fingerprint of a rendered stage report.
@@ -209,10 +192,6 @@ mod tests {
         assert_eq!(fp.typed, "typed/v1(parsed/v1)");
         assert_eq!(fp.analyzed, "analyzed/v1(typed/v1(parsed/v1))");
         assert_eq!(
-            fp.effects("scale"),
-            "effects/v1(analyzed/v1(typed/v1(parsed/v1)))#fn=scale"
-        );
-        assert_eq!(
             fp.stage_report(Stage::Analyze, false),
             "analyze/v2(effects/v1(analyzed/v1(typed/v1(parsed/v1))))"
         );
@@ -265,8 +244,7 @@ mod tests {
         versioned(&fp.typed, "typed");
         versioned(&fp.adds_decls, "adds-decls");
         versioned(&fp.analyzed, "analyzed");
-        versioned(&fp.effects("f"), "effects");
-        versioned(&fp.loop_verdict("f", 0), "loop-verdict");
+        versioned(&fp.stage_report(Stage::Analyze, false), "effects");
         versioned(&fp.transformed, "transformed");
         versioned(&fp.compiled, "machine-bytecode");
         for stage in [
@@ -304,7 +282,6 @@ mod tests {
         assert_ne!(base.typed, bumped.typed);
         assert_ne!(base.adds_decls, bumped.adds_decls);
         assert_ne!(base.analyzed, bumped.analyzed);
-        assert_ne!(base.effects("f"), bumped.effects("f"));
         assert_ne!(base.transformed, bumped.transformed);
         assert_ne!(base.compiled, bumped.compiled);
         assert_ne!(

@@ -1,18 +1,20 @@
 //! # adds-query — the ADDS pipeline as a demand-driven session
 //!
 //! The paper's pipeline is inherently layered — parse → typecheck → ADDS
-//! declarations → effect summaries → per-loop verdicts → transform →
-//! machine compile → run — and this crate exposes it that way: as a
-//! memoized **query database** plus a typed **session** front door shared
-//! by the CLI (`adds-cli`), the HTTP server (`adds-serve`), and library
-//! consumers (`adds::api`).
+//! declarations → analysis fixpoints → per-loop dependence checks →
+//! transform → machine compile → run — and this crate exposes it that
+//! way: as a **query database** plus a typed **session** front door
+//! shared by the CLI (`adds-cli`), the HTTP server (`adds-serve`), and
+//! library consumers (`adds::api`).
 //!
-//! * [`db`] — [`db::AnalysisDb`]: each pipeline layer is a derived query
-//!   (`parsed`, `typed`, `adds_decls`, `effects`, `loop_verdict`,
-//!   `transformed`, `compiled`, `run`, plus the rendered stage reports),
-//!   individually memoized under the `(sha256(source), fingerprint)`
-//!   contract. Dependent queries pull their inputs from upstream queries,
-//!   so a warm `parallelize` after an `analyze` re-parses nothing.
+//! * [`db`] — [`db::AnalysisDb`]: each pipeline layer is a derived query.
+//!   A layer is cached under the `(sha256(source), fingerprint)` contract
+//!   when two queries read it — `parsed`, `typed`, `analyzed`,
+//!   `transformed`, `compiled`, plus the rendered stage reports and `run`
+//!   — and computed inside its one report otherwise (the round trip, the
+//!   ADDS declaration summary, each function's loop checks). Dependent
+//!   queries pull their inputs from upstream queries, so a warm
+//!   `parallelize` after an `analyze` re-parses nothing.
 //! * [`fingerprint`] — the composed fingerprint contract: every query's
 //!   key embeds its own `layer/version` token plus the fingerprints of
 //!   its dependencies, so schema bumps self-invalidate per layer.
@@ -25,7 +27,7 @@
 //!   cache values (stage reports, run results) to and from the optional
 //!   disk tier (`adds-store`) without perturbing a single output byte.
 //! * [`par`] — the deterministic parallel executor: fans independent
-//!   queries (per-function `effects`, per-PE runs, batch items) over a
+//!   work (per-function loop checks, per-PE runs, batch items) over a
 //!   bounded worker budget, merging results in canonical input order so
 //!   parallelism never changes a single output byte.
 //! * [`report`] / [`json`] / [`runner`] — the byte-stable report model

@@ -196,7 +196,7 @@ impl Session {
     }
 
     /// The underlying query database (artifact-level queries:
-    /// `parsed`, `typed`, `effects`, `loop_verdict`, `compiled`, …).
+    /// `parsed`, `typed`, `analyzed`, `transformed`, `compiled`).
     pub fn db(&self) -> &AnalysisDb {
         &self.db
     }

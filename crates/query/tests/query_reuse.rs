@@ -8,6 +8,9 @@
 //! 2. **Scoped invalidation** — bumping one layer's fingerprint version
 //!    invalidates exactly that layer and its downstream queries; upstream
 //!    entries keep hitting.
+//! 3. **Two readers or no cache** — a layer only one report reads (each
+//!    function's loop checks) is computed inside that report, so a cold
+//!    `analyze` makes as many cache lookups for one function as for many.
 
 use adds_query::cache::Outcome;
 use adds_query::db::{sha256, QueryKind};
@@ -142,4 +145,37 @@ fn session_request_structs_cover_the_stage_surface() {
     let b = session.check(SRC);
     assert!(std::sync::Arc::ptr_eq(&a.report, &b.report));
     assert_eq!(b.outcome, Outcome::Hit);
+}
+
+#[test]
+fn cold_analyze_lookups_do_not_grow_with_the_function_count() {
+    // A cold analyze looks up the report, then the `analyzed`, `typed`
+    // and `parsed` artifacts once each. Each function's loop checks are
+    // read by this report alone, so they are computed in it, once per
+    // analyzed function, without a lookup of their own.
+    let cold = |src: &str| {
+        let session = Session::new();
+        let out = session.analyze(src, false);
+        assert!(out.report.ok);
+        assert_eq!(out.outcome, Outcome::Miss);
+        let functions = out
+            .report
+            .analyze
+            .as_ref()
+            .expect("analyze")
+            .functions
+            .len() as u64;
+        assert_eq!(
+            session.db().computes(QueryKind::Effects, &out.digest),
+            functions,
+            "one loop-check compute per analyzed function"
+        );
+        let q = session.query_stats();
+        let lookups = q.get(&q.hits) + q.get(&q.misses) + q.get(&q.coalesced);
+        (lookups, functions)
+    };
+    let (many, many_functions) = cold(SRC);
+    let (few, few_functions) = cold(adds_lang::programs::LIST_SUM);
+    assert!(many_functions > few_functions);
+    assert_eq!(many, few, "artifact lookups of a cold analyze");
 }

@@ -313,6 +313,9 @@ pub struct Response {
     pub headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
+    /// Serialize the head alone, as the answer to a `HEAD` request: its
+    /// `Content-Length` is still the body's length (RFC 9110 §8.6).
+    pub head_only: bool,
 }
 
 impl Response {
@@ -323,6 +326,7 @@ impl Response {
             content_type: "application/json",
             headers: Vec::new(),
             body: body.into_bytes(),
+            head_only: false,
         }
     }
 
@@ -333,6 +337,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             headers: Vec::new(),
             body: body.into().into_bytes(),
+            head_only: false,
         }
     }
 
@@ -373,7 +378,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize `resp` to wire bytes. With `keep_alive` the connection header
+/// Serialize `resp` to wire bytes, leaving the body out when
+/// [`Response::head_only`]. With `keep_alive` the connection header
 /// invites the client to reuse the socket; otherwise it announces the
 /// close that follows. Head and body share **one** buffer: the server sets
 /// `TCP_NODELAY`, so a separately written small head would become its own
@@ -395,7 +401,9 @@ pub fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(&resp.body);
+    if !resp.head_only {
+        out.extend_from_slice(&resp.body);
+    }
     out
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`ServerState::visit_metrics`](crate::server::ServerState::visit_metrics)
 //! visits every metric once, in `/v1/stats` order, and a [`Sink`] renders
-//! what it visits: [`JsonSink`] builds the `adds.serve-stats/v7` document,
+//! what it visits: [`JsonSink`] builds the `adds.serve-stats/v8` document,
 //! [`PromSink`] the `adds.metrics/v2` Prometheus text, with exactly one
 //! `# TYPE` line per family. A metric is named once, by its stats path:
 //! its Prometheus name is the section's prefix plus its key, with `_total`

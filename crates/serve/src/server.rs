@@ -14,8 +14,10 @@
 //! ## Endpoints
 //!
 //! [`ENDPOINTS`] declares these rows, in this order, and a test holds the
-//! table to it. A known path under another method answers `405` with an
-//! `Allow` header; an unknown path answers `404`.
+//! table to it. Every `GET` endpoint answers `HEAD` too, with the status
+//! and headers of the `GET`, `Content-Length` included, and no body. A
+//! known path under another method answers `405` with an `Allow` header
+//! (`GET, HEAD` on a `GET` endpoint); an unknown path answers `404`.
 //!
 //! | method + path | body | response |
 //! |---|---|---|
@@ -28,7 +30,7 @@
 //! | `GET /v1/report/{sha256}` | — | cached stage document or 404 |
 //! | `GET /v1/corpus` | — | built-in program list |
 //! | `GET /v1/corpus/{name}` | — | built-in program source (text) |
-//! | `GET /v1/stats` | — | `adds.serve-stats/v7` counters, gauges + latency quantiles |
+//! | `GET /v1/stats` | — | `adds.serve-stats/v8` counters, gauges + latency quantiles |
 //! | `GET /healthz` | — | `ok` |
 //! | `GET /v1/metrics` | — | the same metrics as Prometheus text (`adds.metrics/v2`) |
 //! | `GET /v1/trace` | — | `adds.trace/v1` buffered spans (needs `--trace`) |
@@ -110,11 +112,6 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Emit one structured JSON access-log line per request on stdout.
     pub log: bool,
-    /// Record the per-route latency histograms and the request-body byte
-    /// counter and, when tracing is on, spans. Default `true`; the bench
-    /// driver's "bare" mode turns it off to measure instrumentation
-    /// overhead. Counters and gauges are recorded either way.
-    pub instrument: bool,
     /// Write a Chrome `trace_event` JSON file here on shutdown
     /// (`serve --trace out.json`); enables span recording.
     pub trace_path: Option<String>,
@@ -143,7 +140,6 @@ impl Default for ServeOptions {
             jobs: 0,
             cache_capacity: 0,
             log: false,
-            instrument: true,
             trace_path: None,
             store_dir: None,
             max_connections: DEFAULT_MAX_CONNECTIONS,
@@ -216,7 +212,7 @@ routes! {
         GET "/v1/corpus/{name}", "—", "built-in program source (text)";
     }
     Stats "stats" {
-        GET "/v1/stats", "—", "`adds.serve-stats/v7` counters, gauges + latency quantiles";
+        GET "/v1/stats", "—", "`adds.serve-stats/v8` counters, gauges + latency quantiles";
     }
     Healthz "healthz" { GET "/healthz", "—", "`ok`"; }
     Metrics "metrics" {
@@ -257,8 +253,9 @@ impl Endpoint {
 enum Target<'p> {
     /// An endpoint's route, with what its placeholder captured.
     Route(Route, Option<&'p str>),
-    /// The path is declared for this other method only. Every pattern is
-    /// declared once, so it is the one method to allow.
+    /// The path is declared for another method only: the `Allow` value.
+    /// Every pattern is declared once, so it names one method, and `HEAD`
+    /// beside a `GET`.
     WrongMethod(&'static str),
     /// No endpoint declares the path.
     NotFound,
@@ -266,13 +263,19 @@ enum Target<'p> {
 
 impl<'p> Target<'p> {
     fn resolve(method: &str, path: &'p str) -> Target<'p> {
+        // HEAD is a GET whose body the response leaves out (RFC 9110
+        // §9.3.2).
+        let method = if method == "HEAD" { "GET" } else { method };
         let mut target = Target::NotFound;
         for endpoint in ENDPOINTS {
             if let Some(arg) = endpoint.capture(path) {
                 if endpoint.method == method {
                     return Target::Route(endpoint.route, arg);
                 }
-                target = Target::WrongMethod(endpoint.method);
+                target = Target::WrongMethod(match endpoint.method {
+                    "GET" => "GET, HEAD",
+                    other => other,
+                });
             }
         }
         target
@@ -286,8 +289,8 @@ impl<'p> Target<'p> {
     }
 }
 
-/// The metrics [`ServeOptions::instrument`] turns off: per-route latency
-/// histograms and the request-body byte counter. All lock-free.
+/// Per-route latency histograms and the request-body byte counter. All
+/// lock-free.
 pub struct ServeMetrics {
     /// Request latency (µs) per route, indexed by `Route as usize`.
     pub route_latency: [Histogram; Route::COUNT],
@@ -316,9 +319,6 @@ pub struct ServerState {
     pub metrics: ServeMetrics,
     /// Emit access-log lines (`serve --log`).
     pub log_requests: bool,
-    /// Record [`ServeMetrics`] and (when tracing) spans; off in the bench
-    /// driver's bare mode.
-    pub instrument: bool,
     /// Event-loop counters (`/v1/stats` `net` section, `adds_net_*`
     /// metrics).
     pub net: Arc<NetStats>,
@@ -331,7 +331,6 @@ impl Default for ServerState {
             requests: Default::default(),
             metrics: ServeMetrics::default(),
             log_requests: false,
-            instrument: true,
             net: Arc::new(NetStats::default()),
         }
     }
@@ -360,7 +359,7 @@ impl ServerState {
     /// [`Self::handle`] for a request line already resolved.
     fn serve(&self, target: Target, req: &Request) -> Response {
         self.count(target.route());
-        match target {
+        let resp = match target {
             Target::Route(Route::Healthz, _) => Response::text(200, "ok\n"),
             Target::Route(Route::Stats, _) => Response::json(200, self.stats_doc().pretty()),
             Target::Route(Route::Metrics, _) => Response::text(200, self.metrics_text()),
@@ -390,6 +389,10 @@ impl ServerState {
             Target::Route(Route::Other, _) | Target::NotFound => {
                 Response::error(404, &format!("no route for {} {}", req.method, req.path))
             }
+        };
+        Response {
+            head_only: req.method == "HEAD",
+            ..resp
         }
     }
 
@@ -500,11 +503,11 @@ impl ServerState {
         sink.leave();
     }
 
-    /// The `/v1/stats` document, `adds.serve-stats/v7`: [`Self::visit_metrics`]
+    /// The `/v1/stats` document, `adds.serve-stats/v8`: [`Self::visit_metrics`]
     /// as JSON, with latency quantiles in place of histograms. No
     /// timestamps, so tests can golden it.
     pub fn stats_doc(&self) -> Json {
-        let mut sink = JsonSink::new("adds.serve-stats/v7");
+        let mut sink = JsonSink::new("adds.serve-stats/v8");
         self.visit_metrics(&mut sink);
         sink.finish()
     }
@@ -980,7 +983,6 @@ impl Server {
                 metrics: ServeMetrics::default(),
                 net: Arc::new(NetStats::default()),
                 log_requests: opts.log,
-                instrument: opts.instrument,
             }),
             trace_path: opts.trace_path.clone(),
             reactor_opts: ReactorOptions {
@@ -1128,9 +1130,7 @@ impl HttpProto {
         if state.log_requests {
             emit_access_line("-", "-", &resp, 0, 0);
         }
-        if state.instrument {
-            state.metrics.route_latency[Route::Other as usize].record(0);
-        }
+        state.metrics.route_latency[Route::Other as usize].record(0);
         serialize_response(&resp, false)
     }
 }
@@ -1173,7 +1173,7 @@ impl Protocol for HttpProto {
             };
         };
         let req = head.into_request(body.to_vec());
-        if self.state.instrument && trace::enabled() {
+        if trace::enabled() {
             trace::complete_between(
                 "serve.parse-body",
                 "serve",
@@ -1193,7 +1193,7 @@ impl Protocol for HttpProto {
     /// closes after serialization.
     fn execute(&self, req: Request, served: usize) -> Reply {
         let state = &self.state;
-        let tracing = state.instrument && trace::enabled();
+        let tracing = trace::enabled();
         let keep_alive = req.keep_alive && served < KEEPALIVE_MAX_REQUESTS;
         let mut root = if tracing {
             trace::span("serve.request", "serve")
@@ -1222,10 +1222,8 @@ impl Protocol for HttpProto {
             s.arg("path", req.path.clone());
             s.arg("status", resp.status.to_string());
         }
-        if state.instrument {
-            state.metrics.route_latency[target.route() as usize].record(micros);
-            state.metrics.bytes_in.add(req.body.len() as u64);
-        }
+        state.metrics.route_latency[target.route() as usize].record(micros);
+        state.metrics.bytes_in.add(req.body.len() as u64);
         if state.log_requests {
             emit_access_line(&req.method, &req.path, &resp, micros, req.body.len() as u64);
         }
@@ -1244,7 +1242,7 @@ impl Protocol for HttpProto {
     fn try_inline(&self, req: Request, served: usize) -> Result<Reply, Request> {
         // Only the health probe is cheap enough for the reactor thread;
         // everything else goes to the worker pool.
-        if req.method == "GET" && req.path == "/healthz" {
+        if matches!(req.method.as_str(), "GET" | "HEAD") && req.path == "/healthz" {
             Ok(self.execute(req, served))
         } else {
             Err(req)

@@ -14,7 +14,7 @@
 //! * **connection budget** — connections over `--max-conns` get
 //!   `503` + `Retry-After` and are counted, while established
 //!   connections keep working;
-//! * **`/v1/stats` v7** — the `net` section counts the reactor's work.
+//! * **`/v1/stats` v8** — the `net` section counts the reactor's work.
 
 use adds_query::json::Json;
 use adds_serve::http::{read_request, serialize_response, BadRequest, Response};
@@ -61,19 +61,7 @@ impl Oracle {
 /// leaving the connection usable. (Byte-level framing on purpose: the
 /// parity tests compare entire responses, headers included.)
 fn read_raw_response(conn: &mut TcpStream) -> Vec<u8> {
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    // Head: read byte-wise until the blank line (responses are small).
-    while !raw.ends_with(b"\r\n\r\n") {
-        match conn.read(&mut byte) {
-            Ok(1) => raw.push(byte[0]),
-            Ok(_) => panic!(
-                "EOF inside response head: {:?}",
-                String::from_utf8_lossy(&raw)
-            ),
-            Err(e) => panic!("read head: {e}"),
-        }
-    }
+    let mut raw = read_raw_head(conn);
     let head = String::from_utf8_lossy(&raw).into_owned();
     let content_length: usize = head
         .lines()
@@ -89,11 +77,33 @@ fn read_raw_response(conn: &mut TcpStream) -> Vec<u8> {
     raw
 }
 
+/// Read one response head, through its blank line: all there is of an
+/// answer to `HEAD`.
+fn read_raw_head(conn: &mut TcpStream) -> Vec<u8> {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    // Head: read byte-wise until the blank line (responses are small).
+    while !raw.ends_with(b"\r\n\r\n") {
+        match conn.read(&mut byte) {
+            Ok(1) => raw.push(byte[0]),
+            Ok(_) => panic!(
+                "EOF inside response head: {:?}",
+                String::from_utf8_lossy(&raw)
+            ),
+            Err(e) => panic!("read head: {e}"),
+        }
+    }
+    raw
+}
+
 /// One request on a fresh connection; returns the complete raw response.
 fn raw_request(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_nodelay(true).unwrap();
     conn.write_all(request).expect("write");
+    if request.starts_with(b"HEAD ") {
+        return read_raw_head(&mut conn);
+    }
     read_raw_response(&mut conn)
 }
 
@@ -155,6 +165,8 @@ fn served_bytes_match_the_oracle_across_the_corpus() {
     requests.push(
         b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 9999999999\r\n\r\n".to_vec(),
     );
+    // HEAD: the GET's head, Content-Length included, and no body.
+    requests.push(b"HEAD /v1/corpus/barnes_hut HTTP/1.1\r\nHost: t\r\n\r\n".to_vec());
 
     for (i, req) in requests.iter().enumerate() {
         let got = raw_request(server.addr(), req);
@@ -369,7 +381,7 @@ fn connection_budget_rejects_with_503_and_counts() {
 }
 
 #[test]
-fn stats_v7_net_section_reports_the_reactor() {
+fn stats_v8_net_section_reports_the_reactor() {
     let server = spawn_server();
     // One inline-served probe and one pool-dispatched request.
     let h = raw_request(server.addr(), &get("/healthz"));
@@ -389,7 +401,7 @@ fn stats_v7_net_section_reports_the_reactor() {
     let doc = Json::parse(&String::from_utf8_lossy(&raw[body_at..])).expect("stats JSON");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("adds.serve-stats/v7")
+        Some("adds.serve-stats/v8")
     );
     let net = doc.get("net").expect("net section");
     let at = |key: &str| net.get(key).and_then(Json::as_usize).unwrap();

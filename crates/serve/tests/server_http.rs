@@ -26,6 +26,15 @@ fn spawn_server(jobs: usize) -> ServerHandle {
 /// Read exactly one `Content-Length`-framed response off `conn`, leaving
 /// the socket usable for the next request. Returns (status, headers, body).
 fn read_response(conn: &mut BufReader<TcpStream>) -> (u16, Vec<(String, String)>, Vec<u8>) {
+    let (status, headers, content_length) = read_response_head(conn);
+    let mut body = vec![0u8; content_length];
+    conn.read_exact(&mut body).expect("body");
+    (status, headers, body)
+}
+
+/// Read one response head off `conn`: (status, headers, Content-Length).
+/// The answer to a `HEAD` request ends here.
+fn read_response_head(conn: &mut BufReader<TcpStream>) -> (u16, Vec<(String, String)>, usize) {
     let mut status_line = String::new();
     conn.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line
@@ -50,16 +59,15 @@ fn read_response(conn: &mut BufReader<TcpStream>) -> (u16, Vec<(String, String)>
             headers.push((k.to_string(), v.to_string()));
         }
     }
-    let mut body = vec![0u8; content_length];
-    conn.read_exact(&mut body).expect("body");
-    (status, headers, body)
+    (status, headers, content_length)
 }
 
 /// Minimal HTTP client: one request on a fresh connection, framed by
-/// `Content-Length`. No `Connection` header is sent — the server keeps
-/// HTTP/1.1 connections alive by default, so reading to EOF here would
-/// stall on the idle timeout; instead the socket is simply dropped.
-/// Returns (status, headers, body).
+/// `Content-Length` (a `HEAD` response by its head alone). No
+/// `Connection` header is sent — the server keeps HTTP/1.1 connections
+/// alive by default, so reading to EOF here would stall on the idle
+/// timeout; instead the socket is simply dropped. Returns (status,
+/// headers, body).
 fn http(
     addr: SocketAddr,
     method: &str,
@@ -77,6 +85,10 @@ fn http(
         .write_all(head.as_bytes())
         .expect("write head");
     conn.get_mut().write_all(body).expect("write body");
+    if method == "HEAD" {
+        let (status, headers, _) = read_response_head(&mut conn);
+        return (status, headers, Vec::new());
+    }
     read_response(&mut conn)
 }
 
@@ -116,7 +128,8 @@ fn healthz_and_unknown_routes() {
     assert_eq!(body, b"ok\n");
 
     // A declared path under another method is a 405 naming the allowed
-    // one, prefix routes included; an undeclared path is a 404.
+    // ones, prefix routes included, and HEAD wherever GET is allowed; an
+    // undeclared path is a 404.
     for (method, target, status, allow) in [
         ("GET", "/nope", 404, None),
         ("GET", "/v1/corpusX", 404, None),
@@ -124,15 +137,32 @@ fn healthz_and_unknown_routes() {
         ("GET", "/v1/report/", 400, None),
         ("GET", "/v1/analyze", 405, Some("POST")),
         ("GET", "/v1/batch", 405, Some("POST")),
-        ("POST", "/healthz", 405, Some("GET")),
-        ("POST", "/v1/corpus", 405, Some("GET")),
-        ("POST", "/v1/corpus/list_sum", 405, Some("GET")),
-        ("POST", "/v1/report/abc", 405, Some("GET")),
+        ("POST", "/healthz", 405, Some("GET, HEAD")),
+        ("POST", "/v1/corpus", 405, Some("GET, HEAD")),
+        ("POST", "/v1/corpus/list_sum", 405, Some("GET, HEAD")),
+        ("POST", "/v1/report/abc", 405, Some("GET, HEAD")),
+        ("HEAD", "/healthz", 200, None),
+        ("HEAD", "/v1/corpus/list_sum", 200, None),
+        ("HEAD", "/nope", 404, None),
+        ("HEAD", "/v1/analyze", 405, Some("POST")),
+        ("HEAD", "/v1/batch", 405, Some("POST")),
     ] {
         let (got, headers, _) = http(server.addr(), method, target, b"");
         let got = (got, header(&headers, "Allow"));
         assert_eq!(got, (status, allow), "{method} {target}");
     }
+    // HEAD answers a GET endpoint with the GET's status and headers, its
+    // Content-Length included, and no body (RFC 9110 §9.3.2, §8.6).
+    for target in ["/healthz", "/v1/corpus", "/v1/corpus/barnes_hut"] {
+        let (get_status, get_headers, get_body) = http(server.addr(), "GET", target, b"");
+        let (status, headers, _) = http(server.addr(), "HEAD", target, b"");
+        assert_eq!(status, get_status, "HEAD {target}");
+        let length = get_body.len().to_string();
+        assert_eq!(header(&headers, "Content-Length"), Some(length.as_str()));
+        assert_eq!(headers.len(), get_headers.len(), "HEAD {target}");
+    }
+    let (_, headers, _) = http(server.addr(), "HEAD", "/healthz", b"");
+    assert_eq!(header(&headers, "Content-Length"), Some("3"));
     let (_, _, body) = http(server.addr(), "GET", "/v1/corpus/", b"");
     let body = String::from_utf8_lossy(&body);
     assert!(body.contains("unknown corpus program ``"), "{body}");
@@ -594,7 +624,7 @@ fn stats_document_shape_is_golden_on_a_fresh_server() {
     .expect("request");
     let resp = server.state().handle(&req);
     assert_eq!(resp.status, 200);
-    // The full `adds.serve-stats/v7` document for one `/v1/stats` request
+    // The full `adds.serve-stats/v8` document for one `/v1/stats` request
     // on a fresh single-worker server: all counters zero except the stats
     // request itself (latency for the stats route records *after* the
     // handler, so its histogram is still empty here). No connection is

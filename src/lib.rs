@@ -27,11 +27,11 @@
 //! * [`structures`] — the §3.1 example structures (one-way lists, bignums,
 //!   polynomials, orthogonal lists, 2-D range trees, quadtrees) with
 //!   run-time shape validators.
-//! * [`query`] — the pipeline as a **demand-driven session**: memoized
-//!   queries per layer (`parsed`, `typed`, `effects`, `loop_verdict`,
-//!   `transformed`, `compiled`, `run`) under the `(sha256, fingerprint)`
-//!   contract, shared by the CLI, the HTTP server, and — via [`api`] —
-//!   library consumers.
+//! * [`query`] — the pipeline as a **demand-driven session**: queries per
+//!   layer, memoized under the `(sha256, fingerprint)` contract where two
+//!   queries read them (`parsed`, `typed`, `analyzed`, `transformed`,
+//!   `compiled`, the stage reports and `run`), shared by the CLI, the HTTP
+//!   server, and — via [`api`] — library consumers.
 //! * [`net`] — the **event-driven server core**: a dependency-free
 //!   `poll(2)` reactor with nonblocking sockets, a connection budget with
 //!   backpressure (503 + `Retry-After`), a coarse timer wheel for
@@ -73,10 +73,10 @@ pub mod ladder;
 /// the CLI and the HTTP server are frontends over, re-exported for
 /// programmatic consumers.
 ///
-/// A session memoizes every pipeline layer by content hash, so repeated
-/// and dependent requests share work — `parallelize` after `analyze` of
-/// the same bytes re-parses nothing, and identical concurrent requests
-/// compute once (single flight):
+/// A session memoizes by content hash every pipeline layer that two
+/// queries read, so repeated and dependent requests share work —
+/// `parallelize` after `analyze` of the same bytes re-parses nothing, and
+/// identical concurrent requests compute once (single flight):
 ///
 /// ```
 /// use adds::api::{Session, Stage, StageRequest};
@@ -88,10 +88,14 @@ pub mod ladder;
 /// let analyzed = session.stage(src, StageRequest::new(Stage::Analyze));
 /// assert!(analyzed.report.ok);
 ///
+/// // Each loop's verdict is in the report:
+/// let functions = &analyzed.report.analyze.as_ref().unwrap().functions;
+/// let scale = functions.iter().find(|f| f.name == "scale").unwrap();
+/// assert!(scale.loops[0].parallelizable);
+///
 /// // Artifact-level queries ride the same cache:
-/// let verdict = session.db().loop_verdict(src, "scale", 0);
-/// let verdict = verdict.as_ref().as_ref().unwrap().as_ref().unwrap();
-/// assert!(verdict.parallelizable);
+/// let typed = session.db().typed(src);
+/// assert!(typed.is_ok());
 ///
 /// // The dependent stage starts from the cached analysis artifacts.
 /// let parallelized = session.parallelize(src);
